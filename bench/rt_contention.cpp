@@ -2,14 +2,10 @@
 // runtime's scheduler hot path.
 //
 // Two questions, answered on this host:
-//   1. What does de-serializing the policy engine buy?  The same
-//      fine-grained MultiIo workload runs against (a) the serial
-//      engine under one global mutex with per-event locking (the
-//      pre-sharding runtime: engine_shards=1, io_batch=1), (b) the
-//      serial engine with batched event delivery, and (c) the sharded
-//      engine (per-PE shards, striped block locks, work-stealing HBM
-//      budget).  Reported per config: tasks/sec and the fraction of
-//      thread-seconds spent blocked on scheduler locks.
+//   1. What does the scheduler hot path cost?  A fine-grained MultiIo
+//      workload runs against the runtime (one policy engine under one
+//      mutex, batched event delivery).  Reported: tasks/sec and the
+//      fraction of thread-seconds spent blocked on the engine lock.
 //   2. What does chunking a large migration buy?  One big block is
 //      copied tier-to-tier monolithically vs through the ChunkRing
 //      with helper threads assisting, reporting GB/s and how many
@@ -58,9 +54,7 @@ struct RunResult {
   std::uint64_t lock_contended = 0;
   double lock_wait_s = 0;
   double lock_wait_fraction = 0; // of total thread-seconds
-  std::uint64_t budget_steals = 0;
   std::uint64_t ctx_switches = 0; // voluntary + involuntary, process-wide
-  int engine_shards = 1;
   int run_threads = 0; // PEs + IO threads actually spawned
 };
 
@@ -96,18 +90,14 @@ struct BenchCfg {
 /// Fine-grained MultiIo workload: every PE cycles over its own block
 /// pool with 2-dep tasks and a trivial body, so scheduler and
 /// migration bookkeeping dominate wall time.
-RunResult run_config(const std::string& name, const BenchCfg& bc,
-                     int engine_shards, int io_batch, bool legacy) {
+RunResult run_config(const std::string& name, const BenchCfg& bc) {
   rt::Runtime::Config cfg;
   cfg.strategy = ooc::Strategy::MultiIo;
   cfg.num_pes = static_cast<int>(bc.pes);
   cfg.mem_scale =
       static_cast<double>(bc.fast_kib << 10) /
       static_cast<double>(cfg.model.tier(cfg.model.fast).capacity);
-  cfg.engine_shards = engine_shards;
-  cfg.io_batch = io_batch;
   cfg.lock_stats = true;
-  cfg.legacy_idle_notify = legacy;
   cfg.evict_by_worker = bc.evict_by_worker;
   cfg.pin_threads = bc.pin;
   cfg.chunk_threshold = 0; // blocks are tiny; isolate scheduler cost
@@ -142,16 +132,7 @@ RunResult run_config(const std::string& name, const BenchCfg& bc,
         };
         batch.push_back(std::move(m));
       }
-      if (legacy) {
-        // The pre-sharding runtime had no batched send: one queue
-        // lock, one wakeup and one idle-counter lock per message.
-        for (auto& m : batch) {
-          run.send_prefetch(static_cast<int>(pe), std::move(m.deps),
-                            std::move(m.body), m.work_factor);
-        }
-      } else {
-        run.send_prefetch_batch(static_cast<int>(pe), std::move(batch));
-      }
+      run.send_prefetch_batch(static_cast<int>(pe), std::move(batch));
     }
     run.wait_idle();
   }
@@ -166,8 +147,6 @@ RunResult run_config(const std::string& name, const BenchCfg& bc,
   const auto st = run.policy_stats();
   res.fetches = st.fetches;
   res.evicts = st.evicts;
-  res.engine_shards = run.engine_shards();
-  res.budget_steals = run.budget_steals();
   res.run_threads = run.num_pes() + run.num_io_threads();
   if (const trace::ContentionStats* cs = run.lock_stats()) {
     const auto t = cs->totals();
@@ -183,11 +162,10 @@ RunResult run_config(const std::string& name, const BenchCfg& bc,
 }
 
 /// Best tasks/sec over bc.sched_reps runs of one configuration.
-RunResult run_config_best(const std::string& name, const BenchCfg& bc,
-                          int engine_shards, int io_batch, bool legacy) {
+RunResult run_config_best(const std::string& name, const BenchCfg& bc) {
   RunResult best;
   for (std::int64_t i = 0; i < bc.sched_reps; ++i) {
-    RunResult r = run_config(name, bc, engine_shards, io_batch, legacy);
+    RunResult r = run_config(name, bc);
     if (i == 0 || r.tasks_per_sec > best.tasks_per_sec) best = r;
   }
   return best;
@@ -252,8 +230,8 @@ MigrateResultRow run_migrate(std::uint64_t block_bytes, int helpers,
   return row;
 }
 
-/// Separate traced run of the sharded configuration (tracing perturbs
-/// the timed comparisons above, so it never piggybacks on them):
+/// Separate traced run of the same configuration (tracing perturbs
+/// the timed run above, so it never piggybacks on it):
 /// exports the timeline as Chrome-trace/Perfetto JSON with causal task
 /// flows, and the wall-clock metrics registry as Prometheus text.
 void run_traced(const BenchCfg& bc, const std::string& perfetto_path,
@@ -264,8 +242,6 @@ void run_traced(const BenchCfg& bc, const std::string& perfetto_path,
   cfg.mem_scale =
       static_cast<double>(bc.fast_kib << 10) /
       static_cast<double>(cfg.model.tier(cfg.model.fast).capacity);
-  cfg.engine_shards = 0;
-  cfg.io_batch = 16;
   cfg.lock_stats = true;
   cfg.trace = true;
   cfg.metrics = true;
@@ -320,23 +296,20 @@ void run_traced(const BenchCfg& bc, const std::string& perfetto_path,
 
 void print_result(const RunResult& r) {
   std::printf(
-      "%-16s shards=%-2d  %9.0f tasks/s  wall %6.3fs  fetches %llu  "
-      "evicts %llu\n"
+      "%-16s %9.0f tasks/s  wall %6.3fs  fetches %llu  evicts %llu\n"
       "%-16s locks: %llu acquisitions, %llu contended, wait %.4fs "
-      "(%.1f%% of thread-time)  steals %llu  ctx-switches %llu\n",
-      r.name.c_str(), r.engine_shards, r.tasks_per_sec, r.wall_s,
+      "(%.1f%% of thread-time)  ctx-switches %llu\n",
+      r.name.c_str(), r.tasks_per_sec, r.wall_s,
       static_cast<unsigned long long>(r.fetches),
       static_cast<unsigned long long>(r.evicts), "",
       static_cast<unsigned long long>(r.lock_acquisitions),
       static_cast<unsigned long long>(r.lock_contended), r.lock_wait_s,
       100.0 * r.lock_wait_fraction,
-      static_cast<unsigned long long>(r.budget_steals),
       static_cast<unsigned long long>(r.ctx_switches));
 }
 
 void write_json(const std::string& path, const BenchCfg& bc,
-                const std::vector<RunResult>& runs,
-                const MigrateResultRow& mig) {
+                const RunResult& r, const MigrateResultRow& mig) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -345,8 +318,7 @@ void write_json(const std::string& path, const BenchCfg& bc,
   std::fprintf(f, "{\n  \"bench\": \"rt_contention\",\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"run_threads\": %d,\n",
-               runs.empty() ? 0 : runs.back().run_threads);
+  std::fprintf(f, "  \"run_threads\": %d,\n", r.run_threads);
   std::fprintf(
       f,
       "  \"workload\": {\"pes\": %lld, \"rounds\": %lld, "
@@ -356,31 +328,18 @@ void write_json(const std::string& path, const BenchCfg& bc,
       static_cast<long long>(bc.tasks_per_round),
       static_cast<long long>(bc.blocks_per_pe),
       static_cast<unsigned long long>(bc.block_bytes));
-  std::fprintf(f, "  \"configs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"engine_shards\": %d, \"wall_s\": %.6f, "
-        "\"tasks\": %llu, \"tasks_per_sec\": %.1f, "
-        "\"lock_acquisitions\": %llu, \"lock_contended\": %llu, "
-        "\"lock_wait_s\": %.6f, \"lock_wait_fraction\": %.6f, "
-        "\"budget_steals\": %llu, \"ctx_switches\": %llu}%s\n",
-        r.name.c_str(), r.engine_shards, r.wall_s,
-        static_cast<unsigned long long>(r.tasks), r.tasks_per_sec,
-        static_cast<unsigned long long>(r.lock_acquisitions),
-        static_cast<unsigned long long>(r.lock_contended), r.lock_wait_s,
-        r.lock_wait_fraction,
-        static_cast<unsigned long long>(r.budget_steals),
-        static_cast<unsigned long long>(r.ctx_switches),
-        i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  const double speedup =
-      runs.size() >= 2 && runs.front().tasks_per_sec > 0
-          ? runs.back().tasks_per_sec / runs.front().tasks_per_sec
-          : 0;
-  std::fprintf(f, "  \"speedup_sharded_vs_global\": %.3f,\n", speedup);
+  std::fprintf(
+      f,
+      "  \"configs\": [\n"
+      "    {\"name\": \"%s\", \"wall_s\": %.6f, "
+      "\"tasks\": %llu, \"tasks_per_sec\": %.1f, "
+      "\"lock_acquisitions\": %llu, \"lock_contended\": %llu, "
+      "\"lock_wait_s\": %.6f, \"lock_wait_fraction\": %.6f, "
+      "\"ctx_switches\": %llu}\n  ],\n",
+      r.name.c_str(), r.wall_s, static_cast<unsigned long long>(r.tasks),
+      r.tasks_per_sec, static_cast<unsigned long long>(r.lock_acquisitions),
+      static_cast<unsigned long long>(r.lock_contended), r.lock_wait_s,
+      r.lock_wait_fraction, static_cast<unsigned long long>(r.ctx_switches));
   std::fprintf(
       f,
       "  \"migrate\": {\"bytes\": %llu, \"mono_s\": %.6f, "
@@ -406,8 +365,8 @@ int main(int argc, char** argv) {
   std::string prom;
   hmr::ArgParser ap("rt_contention",
                     "threaded-runtime scheduler contention bench: "
-                    "global-lock vs sharded engine, monolithic vs "
-                    "chunked migration");
+                    "engine-lock cost, monolithic vs chunked "
+                    "migration");
   ap.add_flag("pes", "worker threads (0 = one per hardware thread)",
               &bc.pes);
   ap.add_flag("rounds", "wait_idle-separated rounds", &bc.rounds);
@@ -427,7 +386,7 @@ int main(int argc, char** argv) {
   ap.add_flag("reps", "round trips in the migrate phase", &reps);
   ap.add_flag("json", "write BENCH_rt_contention.json", &json);
   ap.add_flag("perfetto",
-              "run the sharded config once more with tracing on and "
+              "run the config once more with tracing on and "
               "write its timeline as Chrome-trace JSON here",
               &perfetto);
   ap.add_flag("prom",
@@ -449,29 +408,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(bc.tasks_per_round),
               static_cast<unsigned long long>(bc.block_bytes >> 10));
 
-  std::vector<RunResult> runs;
-  // (a) the pre-sharding hot path: one engine, one mutex, one event
-  // per lock acquisition, per-message sends, and the legacy idle
-  // protocol (global idle lock + notify_all on every retirement).
-  runs.push_back(run_config_best("global", bc, /*engine_shards=*/1,
-                                 /*io_batch=*/1, /*legacy=*/true));
-  print_result(runs.back());
-  // (b) same global engine, but batched sends + step_batch delivery
-  // and zero-transition idle wakeups.
-  runs.push_back(run_config_best("global+batch", bc,
-                                 /*engine_shards=*/1,
-                                 /*io_batch=*/16, /*legacy=*/false));
-  print_result(runs.back());
-  // (c) the sharded engine (per-PE shards + striped blocks + budget).
-  runs.push_back(run_config_best("sharded", bc, /*engine_shards=*/0,
-                                 /*io_batch=*/16, /*legacy=*/false));
-  print_result(runs.back());
-
-  const double speedup = runs.front().tasks_per_sec > 0
-                             ? runs.back().tasks_per_sec /
-                                   runs.front().tasks_per_sec
-                             : 0;
-  std::printf("\nsharded vs global-lock: %.2fx tasks/sec\n\n", speedup);
+  const RunResult run = run_config_best("scheduler", bc);
+  print_result(run);
+  std::printf("\n");
 
   const MigrateResultRow mig =
       run_migrate(static_cast<std::uint64_t>(migrate_mib) << 20,
@@ -483,7 +422,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(mig.chunks),
       static_cast<unsigned long long>(mig.assisted_chunks));
 
-  if (json) write_json("BENCH_rt_contention.json", bc, runs, mig);
+  if (json) write_json("BENCH_rt_contention.json", bc, run, mig);
   if (!perfetto.empty() || !prom.empty()) run_traced(bc, perfetto, prom);
   return 0;
 }

@@ -412,50 +412,4 @@ std::string ClusterSim::attrib_json() const {
   return os.str();
 }
 
-sim::ClusterResult ClusterRunResult::summary() const {
-  sim::ClusterResult s;
-  s.nodes = nodes;
-  s.node_iteration_s = node_iteration_s;
-  s.halo_s = halo_s;
-  s.iteration_s = iteration_s;
-  s.total_s = total_s;
-  s.comm_fraction = comm_fraction;
-  s.halo_bytes_per_node = halo_bytes_per_node;
-  return s;
-}
-
 } // namespace hmr::cluster
-
-namespace hmr::sim {
-
-// Source-compatible fronts for the classic weak-scaling API, now
-// backed by the genuine multi-node simulation (declared in
-// sim/cluster.hpp, defined here so hmr_sim does not depend on
-// hmr_cluster).
-
-ClusterResult run_cluster(const ClusterParams& p) {
-  cluster::ClusterConfig c;
-  c.node = p.node;
-  c.net = p.net;
-  c.nodes = p.nodes;
-  c.bytes_per_node = p.bytes_per_node;
-  c.reduced_bytes = p.reduced_bytes;
-  c.iterations = p.iterations;
-  c.strategy = p.strategy;
-  cluster::ClusterSim sim(std::move(c));
-  return sim.run().summary();
-}
-
-std::vector<ClusterResult> weak_scaling_sweep(const ClusterParams& base,
-                                              const std::vector<int>& nodes) {
-  std::vector<ClusterResult> out;
-  out.reserve(nodes.size());
-  for (const int n : nodes) {
-    ClusterParams p = base;
-    p.nodes = n;
-    out.push_back(run_cluster(p));
-  }
-  return out;
-}
-
-} // namespace hmr::sim

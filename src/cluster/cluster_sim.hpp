@@ -120,9 +120,6 @@ struct ClusterRunResult {
   /// Coordinator-ledger / engine-residency conservation violations
   /// (empty = every byte accounted for).
   std::vector<std::string> audit;
-
-  /// The classic sim::ClusterResult view (run_cluster's return shape).
-  sim::ClusterResult summary() const;
 };
 
 class ClusterSim {

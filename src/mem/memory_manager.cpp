@@ -97,17 +97,7 @@ void MemoryManager::free_on_tier(void* p, TierId t) {
 BlockId MemoryManager::register_block(std::uint64_t bytes, TierId initial) {
   HMR_CHECK_MSG(initial < arenas_.size(), "bad tier id");
   HMR_CHECK_MSG(bytes > 0, "zero-byte block");
-  void* p = nullptr;
-  {
-    TierState& ts = *arenas_[initial];
-    std::lock_guard lock(ts.mu);
-    p = alloc_locked(ts, bytes, nullptr);
-  }
-  if (!p && zero_copy_ && reclaim_shadows(initial) > 0) {
-    TierState& ts = *arenas_[initial];
-    std::lock_guard lock(ts.mu);
-    p = alloc_locked(ts, bytes, nullptr);
-  }
+  void* p = alloc_on(initial, bytes, nullptr);
   if (!p) return kInvalidBlock;
   std::lock_guard lock(blocks_mu_);
   blocks_.push_back({p, bytes, initial, /*live=*/true, /*migrating=*/false});
@@ -118,8 +108,6 @@ void MemoryManager::unregister_block(BlockId b) {
   void* p = nullptr;
   std::uint64_t bytes = 0;
   TierId tier = 0;
-  void* shadow = nullptr;
-  TierId shadow_tier = 0;
   {
     std::lock_guard lock(blocks_mu_);
     HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live,
@@ -128,23 +116,13 @@ void MemoryManager::unregister_block(BlockId b) {
     p = blocks_[b].ptr;
     bytes = blocks_[b].bytes;
     tier = blocks_[b].tier;
-    shadow = blocks_[b].shadow;
-    shadow_tier = blocks_[b].shadow_tier;
     blocks_[b].live = false;
     blocks_[b].ptr = nullptr;
-    blocks_[b].shadow = nullptr;
-    if (shadow != nullptr) shadow_bytes_[shadow_tier] -= bytes;
+    drop_shadow_locked(blocks_[b]);
   }
-  {
-    TierState& ts = *arenas_[tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, p, bytes);
-  }
-  if (shadow != nullptr) {
-    TierState& ts = *arenas_[shadow_tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, shadow, bytes);
-  }
+  TierState& ts = *arenas_[tier];
+  std::lock_guard lock(ts.mu);
+  free_locked(ts, p, bytes);
 }
 
 void* MemoryManager::block_ptr(BlockId b) const {
@@ -173,8 +151,6 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
   void* src_ptr = nullptr;
   std::uint64_t bytes = 0;
   TierId src_tier = 0;
-  void* old_shadow = nullptr;
-  TierId old_shadow_tier = 0;
   {
     std::lock_guard lock(blocks_mu_);
     HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
@@ -199,13 +175,8 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
       std::swap(rec.ptr, rec.shadow);
       rec.shadow_tier = src_tier;
       shadow_bytes_[dst] -= bytes;
-      if (copy_contents) {
-        shadow_bytes_[src_tier] += bytes;
-      } else {
-        old_shadow = rec.shadow;
-        old_shadow_tier = src_tier;
-        rec.shadow = nullptr;
-      }
+      shadow_bytes_[src_tier] += bytes;
+      if (!copy_contents) drop_shadow_locked(rec);
       rec.tier = dst;
       zero_copy_admissions_.fetch_add(1, std::memory_order_relaxed);
       zero_copy_bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -218,18 +189,8 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
       // source buffer (or none), so any older shadow goes now — before
       // step 1, since it may be holding the very capacity the
       // destination alloc needs.
-      if (rec.shadow != nullptr) {
-        old_shadow = rec.shadow;
-        old_shadow_tier = rec.shadow_tier;
-        rec.shadow = nullptr;
-        shadow_bytes_[old_shadow_tier] -= bytes;
-      }
+      drop_shadow_locked(rec);
     }
-  }
-  if (old_shadow != nullptr) {
-    TierState& ts = *arenas_[old_shadow_tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, old_shadow, bytes);
   }
   if (r.zero_copy) {
     std::lock_guard lock(stats_mu_);
@@ -242,23 +203,9 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
   }
 
   // Step 1: create space on the destination (numa_alloc_onnode).
-  void* dst_ptr = nullptr;
-  {
-    const double t0 = now_s();
-    TierState& ts = *arenas_[dst];
-    std::lock_guard lock(ts.mu);
-    dst_ptr = alloc_locked(ts, bytes, &r.pooled);
-    r.alloc_s = now_s() - t0;
-  }
-  if (!dst_ptr && zero_copy_ && reclaim_shadows(dst) > 0) {
-    // Shadows are a cache, not a reservation: other blocks' stale
-    // residences on the destination yield to a real allocation.
-    const double t0 = now_s();
-    TierState& ts = *arenas_[dst];
-    std::lock_guard lock(ts.mu);
-    dst_ptr = alloc_locked(ts, bytes, &r.pooled);
-    r.alloc_s += now_s() - t0;
-  }
+  const double t_alloc = now_s();
+  void* dst_ptr = alloc_on(dst, bytes, &r.pooled);
+  r.alloc_s = now_s() - t_alloc;
   if (!dst_ptr) {
     std::lock_guard lock(blocks_mu_);
     blocks_[b].migrating = false;
@@ -318,53 +265,51 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
 }
 
 void MemoryManager::mark_dirty(BlockId b) {
-  void* shadow = nullptr;
-  TierId shadow_tier = 0;
-  std::uint64_t bytes = 0;
-  {
-    std::lock_guard lock(blocks_mu_);
-    HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
-    BlockRec& rec = blocks_[b];
-    if (rec.shadow == nullptr) return;
-    shadow = rec.shadow;
-    shadow_tier = rec.shadow_tier;
-    bytes = rec.bytes;
-    rec.shadow = nullptr;
-    shadow_bytes_[shadow_tier] -= bytes;
-  }
+  std::lock_guard lock(blocks_mu_);
+  HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
+  BlockRec& rec = blocks_[b];
+  if (rec.shadow == nullptr) return;
+  drop_shadow_locked(rec);
   shadow_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  TierState& ts = *arenas_[shadow_tier];
-  std::lock_guard lock(ts.mu);
-  free_locked(ts, shadow, bytes);
 }
 
-std::uint64_t MemoryManager::reclaim_shadows(TierId t) {
-  std::vector<std::pair<void*, std::uint64_t>> victims;
-  {
-    std::lock_guard lock(blocks_mu_);
-    for (BlockRec& rec : blocks_) {
-      if (!rec.live || rec.shadow == nullptr || rec.shadow_tier != t) {
-        continue;
-      }
-      victims.emplace_back(rec.shadow, rec.bytes);
-      rec.shadow = nullptr;
-      shadow_bytes_[t] -= rec.bytes;
-    }
-  }
-  if (victims.empty()) return 0;
-  std::uint64_t released = 0;
-  TierState& ts = *arenas_[t];
+void MemoryManager::drop_shadow_locked(BlockRec& rec) {
+  if (rec.shadow == nullptr) return;
+  shadow_bytes_[rec.shadow_tier] -= rec.bytes;
+  TierState& ts = *arenas_[rec.shadow_tier];
   std::lock_guard lock(ts.mu);
-  for (const auto& [p, bytes] : victims) {
+  free_locked(ts, rec.shadow, rec.bytes);
+  rec.shadow = nullptr;
+}
+
+void* MemoryManager::alloc_on(TierId t, std::uint64_t bytes,
+                              bool* from_pool) {
+  TierState& ts = *arenas_[t];
+  {
+    std::lock_guard lock(ts.mu);
+    if (void* p = alloc_locked(ts, bytes, from_pool)) return p;
+  }
+  if (!zero_copy_) return nullptr;
+  // Shadows are a cache, not a reservation: other blocks' stale
+  // residences on the tier yield to a real allocation.  Reclaim and
+  // retry in one critical section (shadows are only retained under
+  // blocks_mu_, buffers only allocated under the tier's mu), so no
+  // thread can take the reclaimed room back in between.
+  std::lock_guard lock(blocks_mu_);
+  std::lock_guard tlock(ts.mu);
+  for (BlockRec& rec : blocks_) {
+    if (!rec.live || rec.shadow == nullptr || rec.shadow_tier != t) {
+      continue;
+    }
     // Straight to the arena (bypassing the pool): reclaim exists to
     // release capacity, and a pooled buffer only helps same-size
     // requests.
-    ts.arena->free(p);
-    released += bytes;
+    ts.arena->free(rec.shadow);
+    rec.shadow = nullptr;
+    shadow_bytes_[t] -= rec.bytes;
+    shadow_invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
-  shadow_invalidations_.fetch_add(victims.size(),
-                                  std::memory_order_relaxed);
-  return released;
+  return alloc_locked(ts, bytes, from_pool);
 }
 
 void MemoryManager::set_chunked_copy(std::uint64_t threshold,

@@ -225,10 +225,14 @@ private:
 
   void* alloc_locked(TierState& ts, std::uint64_t bytes, bool* from_pool);
   void free_locked(TierState& ts, void* p, std::uint64_t bytes);
-  /// Free every retained shadow on tier `t` (capacity reclaim before
-  /// failing a real allocation).  Returns bytes released.  Takes
-  /// blocks_mu_ then t's tier mutex, never nested.
-  std::uint64_t reclaim_shadows(TierId t);
+  /// Allocate on tier `t`; when that fails under zero-copy, free every
+  /// shadow on the tier and try once more.  nullptr = out of room.
+  void* alloc_on(TierId t, std::uint64_t bytes, bool* from_pool);
+  /// Free `rec`'s shadow, if any.  Caller holds blocks_mu_.
+  void drop_shadow_locked(BlockRec& rec);
+  // Lock order: blocks_mu_ -> a tier's mu (never the reverse).  A
+  // shadow is detached and freed inside one blocks_mu_ section, so a
+  // reclaim never finds a shadow gone while its bytes are still taken.
 
   std::vector<std::unique_ptr<TierState>> arenas_;
   bool pool_enabled_;

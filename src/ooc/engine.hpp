@@ -1,32 +1,24 @@
 #pragma once
-// Engine: the common interface of the prefetch/evict protocol
-// implementations (the ROADMAP's "unify PolicyEngine and ShardedEngine"
-// item).
+// Engine: the event vocabulary of the paper's prefetch/evict protocol.
 //
-// Two engines implement the paper's protocol today: the serial
-// ooc::PolicyEngine (every strategy, advice, lazy eviction, watermark
-// trims; callers serialize) and the concurrent rt::ShardedEngine
-// (MultiIo + eager only; thread-safe).  They already agreed on the
-// event vocabulary — this interface pins that agreement down so code
-// that only *drives* an engine (executors, the multi-tenant serving
-// decorator in src/serve) is written once and works against either.
+// One implementation exists: the serial ooc::PolicyEngine (every
+// strategy, advice, lazy eviction, watermark trims; callers
+// serialize).  The interface lets code that only *drives* an engine —
+// the multi-tenant serving decorator in src/serve, which wraps one
+// engine and is itself an Engine — be written against the protocol
+// rather than the class:
+//   * on_task_complete carries the PE the task ran on.  PolicyEngine
+//     ignores it (the task record knows its PE); decorators may key
+//     per-PE bookkeeping by it.
+//   * stats are returned by value as engine_stats(), so a decorator
+//     can answer without holding a reference into its inner engine.
+//   * introspection is what decorators and telemetry need: residency,
+//     per-level usage, refcounts, waiting depth, quiescence, invariant
+//     audits.
 //
-// The interface is deliberately the intersection, not the union:
-//   * on_task_complete carries the PE the task ran on.  The sharded
-//     engine needs it to route the completion to the owning shard
-//     without a global map; the serial engine ignores it (the task
-//     record knows its PE).  Executors always know the PE, so the
-//     wider signature costs them nothing.
-//   * stats are returned by value as engine_stats() — the sharded
-//     engine must sum over shards, so a reference is not available.
-//     (The concrete classes keep their historical stats() accessors.)
-//   * introspection is the subset both sides answer exactly enough
-//     for decorators and telemetry: residency, per-level usage,
-//     refcounts, waiting depth, quiescence, invariant audits.
-//
-// Thread safety follows the concrete engine: PolicyEngine callers
-// serialize, ShardedEngine entry points are thread-safe.  Decorators
-// must preserve the contract of whatever they wrap.
+// Thread safety: none.  Callers serialize every call (hmr::rt holds
+// one engine mutex; hmr::sim is single-threaded); decorators must
+// preserve that contract.
 
 #include <cstdint>
 #include <string>
@@ -43,8 +35,7 @@ public:
   // ---- block registry ----
 
   /// Register a data block; returns the tier id its storage must be
-  /// placed on.  Callers serialize registration against itself (both
-  /// engines require it).
+  /// placed on.
   virtual TierId add_block(BlockId b, std::uint64_t bytes) = 0;
 
   /// Forget a block.  Must be unreferenced and not in flight.
@@ -55,14 +46,13 @@ public:
   virtual std::vector<Command> on_task_arrived(const TaskDesc& task) = 0;
   virtual std::vector<Command> on_fetch_complete(BlockId b) = 0;
   virtual std::vector<Command> on_evict_complete(BlockId b) = 0;
-  /// `pe` is the PE the task ran on (executors always know it; the
-  /// sharded engine routes the completion by it).
+  /// `pe` is the PE the task ran on (executors always know it).
   virtual std::vector<Command> on_task_complete(TaskId t,
                                                 std::int32_t pe) = 0;
 
   // ---- introspection ----
 
-  /// Aggregate counters (summed over shards where applicable).
+  /// Aggregate counters.
   virtual EngineStats engine_stats() const = 0;
 
   /// True when every arrived task has completed and nothing is queued
@@ -83,8 +73,7 @@ public:
   virtual std::uint32_t refcount(BlockId b) const = 0;
 
   /// Cross-check bookkeeping against ground truth; one human-readable
-  /// line per violation (empty = clean).  Exactness caveats follow the
-  /// concrete engine (the sharded audit is exact only at quiescence).
+  /// line per violation (empty = clean).
   virtual std::vector<std::string> audit_invariants(
       bool at_quiescence) const = 0;
 };

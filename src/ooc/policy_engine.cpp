@@ -805,10 +805,14 @@ std::vector<Command> PolicyEngine::on_evict_complete(BlockId b) {
 }
 
 std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
-  TaskRec& tr = task(t);
+  // A completed task's record is dropped here: ids are unique among
+  // live tasks only, and the map holds no history.
+  auto it = tasks_.find(t);
+  HMR_CHECK_MSG(it != tasks_.end(), "unknown task id");
+  const TaskRec tr = std::move(it->second);
+  tasks_.erase(it);
   HMR_CHECK_MSG(tr.state == TaskState::Ready,
                 "completion for a task that was never made runnable");
-  tr.state = TaskState::Done;
   HMR_DCHECK(n_live_tasks_ > 0);
   --n_live_tasks_;
   ++stats_.tasks_run;
@@ -816,7 +820,6 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
     auto& pc = pe_claims_[static_cast<std::size_t>(tr.desc.pe)];
     HMR_DCHECK(pc >= tr.claim_bytes);
     pc -= tr.claim_bytes;
-    tr.claim_bytes = 0;
   }
 
   std::vector<Command> cmds;
@@ -857,7 +860,6 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
       }
     }
   }
-  tr.bypassed.clear();
   if (lru_enabled() && cfg_.lru_watermark < 1.0) {
     const auto limit = static_cast<std::uint64_t>(
         cfg_.lru_watermark * static_cast<double>(cfg_.fast_capacity));

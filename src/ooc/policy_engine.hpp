@@ -153,20 +153,14 @@ public:
   TierId add_block(BlockId b, std::uint64_t bytes,
                    std::int32_t home_level);
 
-  /// Deprecated: collapse a tier id returned by add_block onto the old
-  /// two-tier vocabulary (Fast == the hierarchy's top level).  Kept
-  /// one release for downstream callers.
-  Placement placement_of(TierId t) const {
-    return t == tiers_.front().id ? Placement::Fast : Placement::Slow;
-  }
-
   /// Forget a block.  Must be unreferenced and not in flight.
   void remove_block(BlockId b) override;
 
   // ---- events (each returns the commands to execute) ----
 
   /// A message for a [prefetch] entry method arrived at the converse
-  /// scheduler (pre-processing step).
+  /// scheduler (pre-processing step).  Task ids must be unique among
+  /// live tasks; a completed task's id may be submitted again.
   std::vector<Command> on_task_arrived(const TaskDesc& task) override;
 
   /// The executor finished migrating `b` slow -> fast.
@@ -273,7 +267,7 @@ public:
       bool at_quiescence) const override;
 
 private:
-  enum class TaskState : std::uint8_t { Waiting, Admitted, Ready, Done };
+  enum class TaskState : std::uint8_t { Waiting, Admitted, Ready };
 
   struct BlockRec {
     std::uint64_t bytes = 0;

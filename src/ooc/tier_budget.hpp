@@ -1,18 +1,18 @@
 #pragma once
 // TierBudget: a sharded, mostly lock-free byte budget for one bounded
-// memory tier (née HbmBudget, generalized when placement went N-tier:
-// the sharded engine keeps one TierBudget per bounded hierarchy
-// level).
+// memory tier (née HbmBudget).
 //
-// The PolicyEngine accounts HBM capacity with a single counter that its
-// caller serializes.  The threaded runtime's sharded engine instead
-// splits the capacity into per-shard sub-budgets with atomic
-// claim/release, so admissions on different PE groups never touch the
-// same cache line.  When a shard's local slack is insufficient, the
-// claim falls back to a serialized work-stealing pass that pulls slack
-// from the other shards — a claim therefore fails only when the whole
-// node genuinely lacks the bytes, exactly like the single-counter
-// engine, while the common case stays contention-free.
+// The PolicyEngine accounts tier capacity with a single counter that
+// its caller serializes, and no in-tree engine uses TierBudget.  It
+// remains as the measured alternative (the benchmark's
+// ooc.budget_claim_ns probe): the capacity is split into per-shard
+// sub-budgets with atomic claim/release, so claimants on different
+// shards never touch the same cache line.  When a shard's local slack
+// is insufficient, the claim falls back to a serialized work-stealing
+// pass that pulls slack from the other shards — a claim therefore
+// fails only when the whole node genuinely lacks the bytes, exactly
+// like the single counter, while the common case stays
+// contention-free.
 //
 // Invariant: sum over shards of available() never exceeds capacity, and
 // claimed bytes are always returned to some shard via release().

@@ -83,12 +83,6 @@ const char* strategy_name(Strategy s);
 /// True for the strategies that move data (prefetch/evict protocol).
 bool strategy_moves_data(Strategy s);
 
-/// Where a block's storage should be placed at registration time.
-/// Deprecated two-tier vocabulary, kept one release for downstream
-/// callers: new code uses the TierId returned by
-/// PolicyEngine::add_block (Fast == the hierarchy's top level).
-enum class Placement : std::uint8_t { Fast, Slow };
-
 /// How a hierarchy level's bytes are physically realized.  The engine
 /// treats every backend identically for placement (capacity, cascade,
 /// watermark); the distinction is what a migration touching the level
@@ -170,10 +164,10 @@ struct TierDesc {
 /// the engine with zero application changes.
 std::vector<TierDesc> tiers_from_model(const hw::MachineModel& m);
 
-/// Counters every engine implementation maintains (one struct so the
-/// serial and sharded engines — and decorators over either — report
-/// through the same telemetry plumbing).  Historically nested as
-/// PolicyEngine::Stats; that name remains as an alias.
+/// Counters the policy engine maintains (one struct so the engine and
+/// decorators over it report through the same telemetry plumbing).
+/// Historically nested as PolicyEngine::Stats; that name remains as an
+/// alias.
 struct EngineStats {
   std::uint64_t tasks_run = 0;
   std::uint64_t fetches = 0;

@@ -51,14 +51,9 @@ ooc::PolicyEngine::Config engine_config(const Runtime::Config& cfg,
   return ec;
 }
 
-/// The ShardedEngine covers exactly the MultiIo + eager-eviction hot
-/// path; everything global (SingleIo round-robin, SyncNoIo, the lazy
-/// LRU, the adaptive advisor) stays on the serial engine.
-bool sharded_eligible(const Runtime::Config& cfg) {
-  return cfg.engine_shards != 1 &&
-         cfg.strategy == ooc::Strategy::MultiIo && cfg.eager_evict &&
-         !cfg.adaptive;
-}
+/// Max engine events a PE/IO thread hands the engine per lock
+/// acquisition, and the per-wakeup drain depth of the worker loops.
+constexpr std::size_t kBatch = 16;
 
 int io_thread_count(const Runtime::Config& cfg) {
   // Adaptive runs may switch to MultiIo mid-run: give them the full
@@ -112,7 +107,6 @@ Runtime::Runtime(Config cfg)
       tracer_(cfg_.trace, cfg_.trace_opts),
       t0_(std::chrono::steady_clock::now()) {
   HMR_CHECK(cfg_.num_pes > 0);
-  cfg_.io_batch = std::max(1, cfg_.io_batch);
   if (cfg_.serve_port >= 0) cfg_.metrics = true; // /metrics needs them
   if (cfg_.metrics) {
     metrics_ = std::make_unique<telemetry::MetricsRegistry>();
@@ -144,24 +138,7 @@ Runtime::Runtime(Config cfg)
     mm_->set_chunked_copy(cfg_.chunk_threshold, cfg_.chunk_bytes);
   }
   if (cfg_.zero_copy) mm_->set_zero_copy(true);
-  if (sharded_eligible(cfg_)) {
-    ShardedEngine::Config sc;
-    sc.num_pes = cfg_.num_pes;
-    sc.num_shards = std::max(0, cfg_.engine_shards);
-    sc.tiers = resolve_tiers(cfg_, *mm_);
-    sc.fast_capacity = sc.tiers.front().capacity;
-    sc.writeonly_nocopy = cfg_.writeonly_nocopy;
-    sc.evict_by_worker = cfg_.evict_by_worker;
-    sc.demote_cascade = cfg_.demote_cascade;
-    if (cfg_.lock_stats) {
-      const auto n = sc.num_shards > 0
-                         ? std::min(sc.num_shards, sc.num_pes)
-                         : sc.num_pes;
-      lock_stats_ = std::make_unique<trace::ContentionStats>(
-          static_cast<std::size_t>(n));
-    }
-    sharded_ = std::make_unique<ShardedEngine>(sc, lock_stats_.get());
-  } else if (cfg_.lock_stats) {
+  if (cfg_.lock_stats) {
     lock_stats_ = std::make_unique<trace::ContentionStats>(1);
   }
   if (cfg_.adaptive) {
@@ -190,16 +167,11 @@ Runtime::Runtime(Config cfg)
     HMR_CHECK_MSG(!cfg_.adaptive,
                   "multi-tenant serving and adaptive guidance both claim "
                   "the engine's advisor slot; enable one");
-    ooc::Engine& inner = sharded_ ? static_cast<ooc::Engine&>(*sharded_)
-                                  : static_cast<ooc::Engine&>(engine_);
     tenancy_ =
-        std::make_unique<serve::TenantEngine>(inner, cfg_.serve, now());
+        std::make_unique<serve::TenantEngine>(engine_, cfg_.serve, now());
     tenancy_->set_clock([this] { return now(); });
-    if (!sharded_) {
-      // Quota-aware victim selection; the sharded engine takes no
-      // advisor, its tenancy lever is priority dispatch alone.
-      if (auto* adv = tenancy_->advisor()) engine_.set_advisor(adv);
-    }
+    // Quota-aware victim selection (null below two tenants).
+    if (auto* adv = tenancy_->advisor()) engine_.set_advisor(adv);
   }
   pes_.reserve(static_cast<std::size_t>(cfg_.num_pes));
   for (int pe = 0; pe < cfg_.num_pes; ++pe) {
@@ -262,17 +234,9 @@ mem::BlockId Runtime::alloc_block(std::uint64_t bytes) {
   std::lock_guard alk(alloc_mu_);
   const mem::BlockId expected = blocks_created_++;
   hw::TierId tier;
-  if (tenancy_) {
-    // Serial inner engine still wants engine_mu_ held around every
-    // visit (lock order: engine_mu_ -> TenantEngine's mutex).
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) elk = std::unique_lock(engine_mu_);
-    tier = tenancy_->add_block(expected, bytes);
-  } else if (sharded_) {
-    tier = sharded_->add_block(expected, bytes);
-  } else {
+  {
     std::lock_guard elk(engine_mu_);
-    tier = engine_.add_block(expected, bytes);
+    tier = active_engine().add_block(expected, bytes);
   }
   const mem::BlockId b = mm_->register_block(bytes, tier);
   HMR_CHECK_MSG(b != mem::kInvalidBlock,
@@ -284,16 +248,8 @@ mem::BlockId Runtime::alloc_block(std::uint64_t bytes) {
 void Runtime::free_block(mem::BlockId b) {
   {
     std::lock_guard alk(alloc_mu_);
-    if (tenancy_) {
-      std::unique_lock<std::mutex> elk;
-      if (!sharded_) elk = std::unique_lock(engine_mu_);
-      tenancy_->remove_block(b);
-    } else if (sharded_) {
-      sharded_->remove_block(b);
-    } else {
-      std::lock_guard elk(engine_mu_);
-      engine_.remove_block(b);
-    }
+    std::lock_guard elk(engine_mu_);
+    active_engine().remove_block(b);
   }
   mm_->unregister_block(b);
 }
@@ -361,7 +317,6 @@ void Runtime::send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs) {
 
 void Runtime::pe_loop(int pe) {
   PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
-  const auto depth = static_cast<std::size_t>(cfg_.io_batch);
   std::vector<ReadyTask> tasks;
   std::vector<Msg> msgs;
   telemetry::Heartbeat& hb = pe_beats_[static_cast<std::size_t>(pe)];
@@ -379,9 +334,9 @@ void Runtime::pe_loop(int pe) {
       });
       // Ready tasks (data resident) run before new messages are
       // intercepted, keeping the PE's pipeline full.  Draining a
-      // batch amortizes the queue lock and, on the serial-engine
-      // path, the engine lock over the whole batch.
-      while (!w.run_q.empty() && tasks.size() < depth) {
+      // batch amortizes the queue lock and the engine lock over the
+      // whole batch.
+      while (!w.run_q.empty() && tasks.size() < kBatch) {
         tasks.push_back(std::move(w.run_q.front()));
         w.run_q.pop_front();
       }
@@ -389,7 +344,7 @@ void Runtime::pe_loop(int pe) {
         mh_.run_q_depth->observe(tasks.size() + w.run_q.size());
       }
       if (tasks.empty()) {
-        while (!w.msgs.empty() && msgs.size() < depth) {
+        while (!w.msgs.empty() && msgs.size() < kBatch) {
           msgs.push_back(std::move(w.msgs.front()));
           w.msgs.pop_front();
         }
@@ -409,7 +364,6 @@ void Runtime::pe_loop(int pe) {
 void Runtime::io_loop(int io) {
   IoWorker& w = *io_[static_cast<std::size_t>(io)];
   const int lane = cfg_.num_pes + io;
-  const auto depth = static_cast<std::size_t>(cfg_.io_batch);
   std::vector<ooc::Command> batch;
   telemetry::Heartbeat& hb = io_beats_[static_cast<std::size_t>(io)];
   for (;;) {
@@ -433,7 +387,7 @@ void Runtime::io_loop(int io) {
         });
       }
       if (w.cmds.empty()) return; // stop requested, queue drained
-      while (!w.cmds.empty() && batch.size() < depth) {
+      while (!w.cmds.empty() && batch.size() < kBatch) {
         batch.push_back(w.cmds.front());
         w.cmds.pop_front();
       }
@@ -443,11 +397,11 @@ void Runtime::io_loop(int io) {
 }
 
 void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
-  std::vector<ooc::TaskDesc> arrivals;
+  std::vector<ooc::PolicyEngine::Event> arrivals;
   arrivals.reserve(msgs.size());
   auto flush = [&] {
     if (arrivals.empty()) return;
-    process(ev_arrivals(std::move(arrivals)), pe);
+    process(engine_step(std::move(arrivals), pe), pe);
     arrivals.clear();
   };
   for (auto& msg : msgs) {
@@ -487,7 +441,7 @@ void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
     desc.deps = std::move(msg.deps);
     desc.work_factor = msg.work_factor;
     desc.tenant = msg.tenant;
-    arrivals.push_back(std::move(desc));
+    arrivals.push_back(ooc::PolicyEngine::Event::arrived(std::move(desc)));
   }
   flush();
 }
@@ -529,93 +483,55 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
       tasks.size(), std::memory_order_relaxed);
   // Post-processing step: release claims, trigger evictions — one
   // engine visit for the whole batch.
-  process(ev_completions(tasks, pe), pe);
-  note_done(tasks.size());
-}
-
-std::vector<ooc::Command> Runtime::ev_arrivals(
-    std::vector<ooc::TaskDesc> descs) {
-  if (tenancy_) {
-    // Per-event visits through the decorator (admission may defer or
-    // reorder, so batching buys nothing).  Serial inner engine keeps
-    // engine_mu_ as the outer lock; the adaptive profiler is excluded
-    // by construction.
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    std::vector<ooc::Command> cmds;
-    for (auto& d : descs) {
-      auto c = tenancy_->on_task_arrived(d);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  if (sharded_) {
-    std::vector<ooc::Command> cmds;
-    for (auto& d : descs) {
-      auto c = sharded_->on_task_arrived(d);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(descs.size());
-  for (auto& d : descs) {
-    evs.push_back(ooc::PolicyEngine::Event::arrived(std::move(d)));
-  }
-  std::vector<ooc::Command> cmds;
-  trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-  std::lock_guard elk(engine_mu_, std::adopt_lock);
-  if (profiler_) {
-    for (const auto& e : evs) {
-      profiler_->on_task_arrived(
-          e.task, [this](mem::BlockId b) { return mm_->block_bytes(b); });
-    }
-  }
-  cmds = engine_.step_batch(std::move(evs));
-  observe_locked(cmds);
-  return cmds;
-}
-
-std::vector<ooc::Command> Runtime::ev_completions(
-    const std::vector<ReadyTask>& tasks, int pe) {
-  if (tenancy_) {
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    std::vector<ooc::Command> cmds;
-    for (const auto& t : tasks) {
-      auto c = tenancy_->on_task_complete(t.id, pe);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
-  if (sharded_) {
-    std::vector<ooc::Command> cmds;
-    for (const auto& t : tasks) {
-      auto c = sharded_->on_task_complete(t.id, pe);
-      cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                  std::make_move_iterator(c.end()));
-    }
-    return cmds;
-  }
   std::vector<ooc::PolicyEngine::Event> evs;
   evs.reserve(tasks.size());
   for (const auto& t : tasks) {
     evs.push_back(ooc::PolicyEngine::Event::completed(t.id));
   }
-  std::vector<ooc::Command> cmds;
+  process(engine_step(std::move(evs), pe), pe);
+  note_done(tasks.size());
+}
+
+std::vector<ooc::Command> Runtime::engine_step(
+    std::vector<ooc::PolicyEngine::Event> evs, int pe) {
   trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
   std::lock_guard elk(engine_mu_, std::adopt_lock);
-  cmds = engine_.step_batch(std::move(evs));
-  observe_locked(cmds);
+  if (!tenancy_) {
+    if (profiler_) {
+      for (const auto& e : evs) {
+        if (e.kind != ooc::PolicyEngine::Event::Kind::TaskArrived) continue;
+        profiler_->on_task_arrived(
+            e.task, [this](mem::BlockId b) { return mm_->block_bytes(b); });
+      }
+    }
+    std::vector<ooc::Command> cmds = engine_.step_batch(std::move(evs));
+    observe_locked(cmds);
+    return cmds;
+  }
+  // Per-event visits through the decorator (admission may defer or
+  // reorder, so batching buys nothing); lock order engine_mu_ ->
+  // TenantEngine's mutex.  Adaptive guidance is excluded by
+  // construction, so there is nothing to observe.
+  std::vector<ooc::Command> cmds;
+  for (auto& e : evs) {
+    std::vector<ooc::Command> c;
+    switch (e.kind) {
+      case ooc::PolicyEngine::Event::Kind::TaskArrived:
+        c = tenancy_->on_task_arrived(e.task);
+        break;
+      case ooc::PolicyEngine::Event::Kind::FetchComplete:
+        c = tenancy_->on_fetch_complete(e.block);
+        break;
+      case ooc::PolicyEngine::Event::Kind::EvictComplete:
+        c = tenancy_->on_evict_complete(e.block);
+        break;
+      case ooc::PolicyEngine::Event::Kind::TaskComplete:
+        c = tenancy_->on_task_complete(e.task_id, pe);
+        break;
+    }
+    cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
+                std::make_move_iterator(c.end()));
+  }
   return cmds;
 }
 
@@ -659,75 +575,17 @@ void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
   }
 }
 
-void Runtime::perform_transfer(const ooc::Command& cmd, int trace_lane) {
-  do_migrate(cmd, trace_lane);
-  std::vector<ooc::Command> cmds;
-  const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
-  if (tenancy_) {
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    cmds = fetch ? tenancy_->on_fetch_complete(cmd.block)
-                 : tenancy_->on_evict_complete(cmd.block);
-  } else if (sharded_) {
-    cmds = fetch ? sharded_->on_fetch_complete(cmd.block)
-                 : sharded_->on_evict_complete(cmd.block);
-  } else {
-    trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-    std::lock_guard elk(engine_mu_, std::adopt_lock);
-    cmds = fetch ? engine_.on_fetch_complete(cmd.block)
-                 : engine_.on_evict_complete(cmd.block);
-    observe_locked(cmds);
-  }
-  process(std::move(cmds), trace_lane);
-  ops_sub(1);
-}
-
 void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
                                      int trace_lane) {
-  if (cmds.size() == 1) {
-    perform_transfer(cmds.front(), trace_lane);
-    return;
+  std::vector<ooc::PolicyEngine::Event> evs;
+  evs.reserve(cmds.size());
+  for (const auto& cmd : cmds) {
+    do_migrate(cmd, trace_lane);
+    evs.push_back(cmd.kind == ooc::Command::Kind::Fetch
+                      ? ooc::PolicyEngine::Event::fetched(cmd.block)
+                      : ooc::PolicyEngine::Event::evicted(cmd.block));
   }
-  for (const auto& cmd : cmds) do_migrate(cmd, trace_lane);
-  std::vector<ooc::Command> out;
-  if (tenancy_) {
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) {
-      trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-      elk = std::unique_lock(engine_mu_, std::adopt_lock);
-    }
-    for (const auto& cmd : cmds) {
-      auto c = cmd.kind == ooc::Command::Kind::Fetch
-                   ? tenancy_->on_fetch_complete(cmd.block)
-                   : tenancy_->on_evict_complete(cmd.block);
-      out.insert(out.end(), std::make_move_iterator(c.begin()),
-                 std::make_move_iterator(c.end()));
-    }
-  } else if (sharded_) {
-    for (const auto& cmd : cmds) {
-      auto c = cmd.kind == ooc::Command::Kind::Fetch
-                   ? sharded_->on_fetch_complete(cmd.block)
-                   : sharded_->on_evict_complete(cmd.block);
-      out.insert(out.end(), std::make_move_iterator(c.begin()),
-                 std::make_move_iterator(c.end()));
-    }
-  } else {
-    std::vector<ooc::PolicyEngine::Event> evs;
-    evs.reserve(cmds.size());
-    for (const auto& cmd : cmds) {
-      evs.push_back(cmd.kind == ooc::Command::Kind::Fetch
-                        ? ooc::PolicyEngine::Event::fetched(cmd.block)
-                        : ooc::PolicyEngine::Event::evicted(cmd.block));
-    }
-    trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
-    std::lock_guard elk(engine_mu_, std::adopt_lock);
-    out = engine_.step_batch(std::move(evs));
-    observe_locked(out);
-  }
-  process(std::move(out), trace_lane);
+  process(engine_step(std::move(evs), /*pe=*/-1), trace_lane);
   ops_sub(cmds.size());
 }
 
@@ -762,7 +620,7 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
         }
         if (c.agent == ooc::kWorkerInline) {
           // Synchronous pre/post-processing on the current thread.
-          perform_transfer(c, context_lane);
+          perform_transfer_batch({c}, context_lane);
         } else {
           HMR_CHECK(!io_.empty());
           IoWorker& w =
@@ -866,29 +724,12 @@ void Runtime::governor_phase_end() {
 }
 
 void Runtime::msgs_add(std::uint64_t n) {
-  if (cfg_.legacy_idle_notify) {
-    // Pre-sharding protocol: the counter was a plain int guarded by
-    // the global idle lock, so every send serialized on it.
-    std::lock_guard lk(idle_mu_);
-    outstanding_msgs_.fetch_add(n, std::memory_order_acq_rel);
-    return;
-  }
   outstanding_msgs_.fetch_add(n, std::memory_order_acq_rel);
 }
 
 void Runtime::note_done(std::uint64_t n) {
   if (n == 0) return;
   retired_.fetch_add(n, std::memory_order_relaxed);
-  if (cfg_.legacy_idle_notify) {
-    // Pre-sharding protocol: lock + notify_all on every retirement,
-    // waking the idle waiter (usually the main thread) each time.
-    {
-      std::lock_guard lk(idle_mu_);
-      outstanding_msgs_.fetch_sub(n, std::memory_order_acq_rel);
-    }
-    idle_cv_.notify_all();
-    return;
-  }
   // Wake idle waiters only on the transition to zero: the hot path
   // never touches idle_mu_.  Taking the mutex before notifying closes
   // the race with a waiter that just evaluated its predicate.
@@ -904,14 +745,6 @@ void Runtime::ops_add(std::uint64_t n) {
 
 void Runtime::ops_sub(std::uint64_t n) {
   retired_.fetch_add(n, std::memory_order_relaxed);
-  if (cfg_.legacy_idle_notify) {
-    {
-      std::lock_guard lk(idle_mu_);
-      outstanding_ops_.fetch_sub(n, std::memory_order_acq_rel);
-    }
-    idle_cv_.notify_all();
-    return;
-  }
   if (outstanding_ops_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     std::lock_guard lk(idle_mu_);
     idle_cv_.notify_all();
@@ -919,16 +752,10 @@ void Runtime::ops_sub(std::uint64_t n) {
 }
 
 bool Runtime::engine_quiescent() {
-  if (tenancy_) {
-    // Deferred submissions parked in the decorator count as pending
-    // work; its quiescent() folds them in with the inner engine's.
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) elk = std::unique_lock(engine_mu_);
-    return tenancy_->quiescent();
-  }
-  if (sharded_) return sharded_->quiescent();
+  // With tenancy, deferred submissions parked in the decorator count
+  // as pending work; its quiescent() folds them in with the engine's.
   std::lock_guard elk(engine_mu_);
-  return engine_.quiescent();
+  return active_engine().quiescent();
 }
 
 void Runtime::poke_io_for_assist() {
@@ -966,13 +793,6 @@ void Runtime::sample_metrics() {
   if (!metrics_) return;
   telemetry::export_policy_stats(*metrics_, policy_stats());
   if (attrib_) attrib_->export_metrics(*metrics_);
-  if (sharded_) {
-    for (std::int32_t s = 0; s < sharded_->num_shards(); ++s) {
-      telemetry::export_policy_stats(
-          *metrics_, sharded_->shard_stats(s),
-          telemetry::prom_label("shard", std::to_string(s)));
-    }
-  }
   if (tenancy_) tenancy_->export_metrics(*metrics_);
   if (lock_stats_) telemetry::export_contention(*metrics_, *lock_stats_);
   if (mm_->chunked_copy_enabled()) {
@@ -999,24 +819,15 @@ void Runtime::sample_metrics() {
                 "Level budget (0 = unbounded bottom)")
         .set(static_cast<double>(cap));
   };
-  if (sharded_) {
-    const auto& tiers = sharded_->tiers();
-    for (std::int32_t k = 0; k < sharded_->num_levels(); ++k) {
-      tier_gauges(k, sharded_->tier_used(k),
-                  tiers[static_cast<std::size_t>(k)].capacity);
-    }
-  } else {
-    std::lock_guard elk(engine_mu_);
-    const auto& tiers = engine_.tiers();
-    for (std::int32_t k = 0; k < engine_.num_levels(); ++k) {
-      tier_gauges(k, engine_.tier_used(k),
-                  tiers[static_cast<std::size_t>(k)].capacity);
-    }
+  std::lock_guard elk(engine_mu_);
+  const auto& tiers = engine_.tiers();
+  for (std::int32_t k = 0; k < engine_.num_levels(); ++k) {
+    tier_gauges(k, engine_.tier_used(k),
+                tiers[static_cast<std::size_t>(k)].capacity);
   }
 }
 
 ooc::PolicyEngine::Stats Runtime::policy_stats() {
-  if (sharded_) return sharded_->stats();
   std::lock_guard elk(engine_mu_);
   return engine_.stats();
 }
@@ -1056,29 +867,12 @@ double Runtime::fetch_p99_seconds() const {
 telemetry::AuditReport Runtime::audit_now() {
   telemetry::AuditReport r;
   r.time = now();
-  if (tenancy_) {
-    // Tenancy audit = inner audit + quota-ledger conservation +
-    // admitted/completed bookkeeping, under the same quiescence rules
-    // as the wrapped engine.
-    std::unique_lock<std::mutex> elk;
-    if (!sharded_) elk = std::unique_lock(engine_mu_);
-    if (sharded_ && !tenancy_->quiescent()) return r;
-    r.at_quiescence = tenancy_->quiescent();
-    r.violations = tenancy_->audit_invariants(r.at_quiescence);
-    return r;
-  }
-  if (sharded_) {
-    // The sharded ledgers only reconcile exactly at quiescence
-    // (budget releases commit outside the stripe critical sections),
-    // so off-quiescence calls report nothing rather than guess.
-    if (!sharded_->quiescent()) return r;
-    r.at_quiescence = true;
-    r.violations = sharded_->audit_invariants(true);
-  } else {
-    std::lock_guard elk(engine_mu_);
-    r.at_quiescence = engine_.quiescent();
-    r.violations = engine_.audit_invariants(r.at_quiescence);
-  }
+  // With tenancy the audit is the engine's plus quota-ledger
+  // conservation and admitted/completed bookkeeping.
+  std::lock_guard elk(engine_mu_);
+  const ooc::Engine& eng = active_engine();
+  r.at_quiescence = eng.quiescent();
+  r.violations = eng.audit_invariants(r.at_quiescence);
   return r;
 }
 
@@ -1108,8 +902,6 @@ std::string Runtime::status_json() {
   os << "{\"time_s\":";
   num(static_cast<double>(t) * 1e-9);
   os << ",\"strategy\":\"" << ooc::strategy_name(cfg_.strategy) << "\""
-     << ",\"sharded\":" << (sharded_ ? "true" : "false")
-     << ",\"engine_shards\":" << engine_shards()
      << ",\"num_pes\":" << cfg_.num_pes
      << ",\"num_io_threads\":" << io_.size() << ",\"outstanding_msgs\":"
      << outstanding_msgs_.load(std::memory_order_acquire)
@@ -1160,13 +952,7 @@ std::string Runtime::status_json() {
     os << "{\"level\":" << level << ",\"used_bytes\":" << used
        << ",\"capacity_bytes\":" << cap << "}";
   };
-  if (sharded_) {
-    const auto& tiers = sharded_->tiers();
-    for (std::int32_t k = 0; k < sharded_->num_levels(); ++k) {
-      tier_json(k, sharded_->tier_used(k),
-                tiers[static_cast<std::size_t>(k)].capacity);
-    }
-  } else {
+  {
     std::lock_guard elk(engine_mu_);
     const auto& tiers = engine_.tiers();
     for (std::int32_t k = 0; k < engine_.num_levels(); ++k) {
@@ -1288,11 +1074,7 @@ void Runtime::start_introspection() {
              outstanding_ops_.load(std::memory_order_acquire) != 0;
     };
     h.progress = [this] {
-      // Retirements plus engine events: admissions count as progress
-      // even while no task has finished yet.
-      std::uint64_t p = retired_.load(std::memory_order_relaxed);
-      if (sharded_) p += sharded_->events_processed();
-      return p;
+      return retired_.load(std::memory_order_relaxed);
     };
     h.fetch_age = [this]() -> double {
       const auto done = fetch_completed_.load(std::memory_order_relaxed);

@@ -17,14 +17,14 @@
 //     them inline on the worker, exactly like the paper's
 //     pre/post-processing steps.
 //
-// Scheduling hot path: the default MultiIo + eager-eviction
-// configuration drives a ShardedEngine — per-PE-group engine shards,
-// striped block locks and a work-stealing HBM budget — so admission
-// and completion on different PEs never serialize.  Every other
-// configuration (SingleIo, SyncNoIo, lazy eviction, adaptive) drives
-// the serial ooc::PolicyEngine under one mutex, amortized by handing
-// it whole event batches (PolicyEngine::step_batch).  Both paths share
-// the same policy semantics; hmr::sim always uses the serial engine.
+// Scheduling hot path: every configuration drives one
+// ooc::PolicyEngine — the same engine hmr::sim uses — under one mutex
+// (engine_mu_).  PE and IO threads amortize that lock by handing the
+// engine whole event batches (PolicyEngine::step_batch): a wakeup's
+// worth of arrivals, completions or finished migrations per
+// acquisition.  With tenancy on, the events go one at a time through
+// a serve::TenantEngine wrapped around the same engine, still under
+// engine_mu_.
 
 #include <atomic>
 #include <condition_variable>
@@ -44,7 +44,6 @@
 #include "hw/machine_model.hpp"
 #include "mem/memory_manager.hpp"
 #include "ooc/policy_engine.hpp"
-#include "rt/sharded_engine.hpp"
 #include "serve/tenant_engine.hpp"
 #include "telemetry/attrib.hpp"
 #include "telemetry/audit.hpp"
@@ -114,16 +113,6 @@ public:
     adapt::ProfilerConfig profiler_cfg;
     adapt::GovernorConfig governor_cfg;
 
-    /// Engine sharding for the MultiIo + eager-eviction hot path:
-    /// 0 = one shard per PE (default), 1 = the serial global-lock
-    /// engine (the de-serialization baseline), N = N shards.  Other
-    /// strategies, lazy eviction and adaptive runs always use the
-    /// serial engine (their policies are inherently global).
-    int engine_shards = 0;
-    /// Max engine events a PE/IO thread hands the engine per lock
-    /// acquisition (serial-engine path) and the per-wakeup drain depth
-    /// of the worker loops.
-    int io_batch = 16;
     /// Chunked cooperative migration: block copies of at least
     /// `chunk_threshold` bytes stream through the MemoryManager's
     /// ChunkRing in `chunk_bytes` pieces so idle IO threads can assist
@@ -144,15 +133,9 @@ public:
     /// HMR_NUMA builds additionally bind each arena to its model
     /// tier's numa_node.  Graceful fallback at every step.
     bool mmap_arenas = false;
-    /// Collect scheduler lock-contention counters (bench/rt_contention
+    /// Collect engine-lock contention counters (bench/rt_contention
     /// reads them via lock_stats()).
     bool lock_stats = false;
-    /// Reproduce the pre-sharding quiescence protocol: every message
-    /// send and every message/op retirement takes the global idle lock
-    /// and wakes all idle waiters, instead of notifying only on the
-    /// counter's zero transition.  Exists solely so bench/rt_contention
-    /// can measure the old runtime's bookkeeping cost; leave off.
-    bool legacy_idle_notify = false;
 
     /// Placement hierarchy override, fastest level first (same contract
     /// as ooc::PolicyEngine::Config::tiers, with capacities in
@@ -200,15 +183,13 @@ public:
     std::string crash_dump_path; // empty = stderr
 
     /// Multi-tenant serving (src/serve/): registering tenants wraps
-    /// the active engine (serial or sharded) in a serve::TenantEngine
-    /// — QoS-aware admission, per-tenant placement quotas, priority
-    /// dispatch on the IO queues, a /tenants status route and
-    /// tenant-labeled metrics.  Tag work via send_prefetch's tenant
-    /// argument.  Note the decorator serializes engine events, so the
-    /// sharded path loses shard concurrency while tenancy is on
-    /// (docs/SERVING.md).  Incompatible with `adaptive` (both claim
-    /// the engine's advisor slot).  With no tenants registered the
-    /// runtime is byte-identical to the pre-tenancy build.
+    /// the policy engine in a serve::TenantEngine — QoS-aware
+    /// admission, per-tenant placement quotas, priority dispatch on
+    /// the IO queues, a /tenants status route and tenant-labeled
+    /// metrics.  Tag work via send_prefetch's tenant argument.
+    /// Incompatible with `adaptive` (both claim the engine's advisor
+    /// slot).  With no tenants registered the runtime is
+    /// byte-identical to the pre-tenancy build.
     serve::ServeConfig serve;
   };
 
@@ -228,8 +209,8 @@ public:
   /// Metrics registry (nullptr unless Config::metrics).  Histograms
   /// are live; mirrored counters are refreshed by sample_metrics().
   telemetry::MetricsRegistry* metrics() { return metrics_.get(); }
-  /// Refresh every bridged counter/gauge (engine stats, per-shard
-  /// stats, lock contention, chunk ring, tier occupancy, trace drops)
+  /// Refresh every bridged counter/gauge (engine stats, lock
+  /// contention, chunk ring, tier occupancy, trace drops)
   /// into the registry.  Called from wait_idle(); also usable as a
   /// SnapshotSampler pre-sample callback.  No-op when metrics are off.
   void sample_metrics();
@@ -313,19 +294,12 @@ public:
   ooc::PolicyEngine::Stats policy_stats();
   std::uint64_t tasks_executed() const;
 
-  /// True when this configuration runs the sharded engine.
-  bool sharded() const { return sharded_ != nullptr; }
-  /// Shards of the active engine (1 on the serial path).
-  int engine_shards() const {
-    return sharded_ ? sharded_->num_shards() : 1;
-  }
-  /// TierBudget work-stealing rebalances (sharded path; 0 otherwise).
-  std::uint64_t budget_steals() const {
-    return sharded_ ? sharded_->budget_steals() : 0;
-  }
-  /// Scheduler-lock contention counters; nullptr unless
-  /// Config::lock_stats.  Slot i = engine shard i (serial path: one
-  /// slot for the global engine mutex).
+  /// TierBudget work-stealing rebalances.  Always 0: the runtime's
+  /// single policy engine keeps its budget under engine_mu_ and owns
+  /// no TierBudget.  Kept so ledger readers need no special case.
+  std::uint64_t budget_steals() const { return 0; }
+  /// Engine-lock contention counters; nullptr unless
+  /// Config::lock_stats.  One slot: the engine mutex.
   const trace::ContentionStats* lock_stats() const {
     return lock_stats_.get();
   }
@@ -350,10 +324,9 @@ public:
   /// Stall watchdog (nullptr unless Config::watchdog).
   const telemetry::Watchdog* watchdog() const { return watchdog_.get(); }
 
-  /// Run the engine invariant audit now.  The serial engine audits at
-  /// any time (under its lock); the sharded engine's ledgers are only
-  /// exact at quiescence, so off-quiescence sharded calls return an
-  /// empty report with at_quiescence=false rather than false-positive.
+  /// Run the engine invariant audit now (under the engine lock; exact
+  /// at any time, with the quiescence-only checks gated on
+  /// AuditReport::at_quiescence).
   telemetry::AuditReport audit_now();
   /// wait_idle() audits completed so far (0 when audits are disabled).
   std::uint64_t audit_runs() const;
@@ -419,17 +392,22 @@ private:
   void io_loop(int io);
   void run_ready_batch(int pe, std::vector<ReadyTask>& tasks);
   void intercept_batch(int pe, std::vector<Msg>& msgs);
-  void perform_transfer(const ooc::Command& cmd, int trace_lane);
+  /// Execute migrations, then report them in one engine visit.
   void perform_transfer_batch(const std::vector<ooc::Command>& cmds,
                               int trace_lane);
   /// Execute one migration (step 1-3) and record its trace interval.
   void do_migrate(const ooc::Command& cmd, int trace_lane);
   void process(std::vector<ooc::Command> cmds, int context_lane);
-  /// Batch of arrival events against the active engine.
-  std::vector<ooc::Command> ev_arrivals(std::vector<ooc::TaskDesc> descs);
-  /// Batch of completion events for tasks that ran on `pe`.
-  std::vector<ooc::Command> ev_completions(
-      const std::vector<ReadyTask>& tasks, int pe);
+  /// One engine visit under engine_mu_: a step_batch, or one
+  /// TenantEngine call per event with tenancy on.  `pe` is the PE any
+  /// TaskComplete events ran on.
+  std::vector<ooc::Command> engine_step(
+      std::vector<ooc::PolicyEngine::Event> evs, int pe);
+  /// The engine block/quiescence/audit calls go to: the tenancy
+  /// decorator when on, else the policy engine.  Call under engine_mu_.
+  ooc::Engine& active_engine() {
+    return tenancy_ ? static_cast<ooc::Engine&>(*tenancy_) : engine_;
+  }
   /// `outstanding_msgs_` -= n, waking idle waiters on the final one.
   void msgs_add(std::uint64_t n);
   void note_done(std::uint64_t n);
@@ -461,19 +439,15 @@ private:
   Config cfg_;
   std::unique_ptr<mem::MemoryManager> mm_;
 
-  /// Serial-engine path (every configuration the ShardedEngine does
-  /// not cover); all access under engine_mu_.
+  /// The policy engine; all access under engine_mu_.
   std::mutex engine_mu_;
   ooc::PolicyEngine engine_;
-
-  /// Sharded hot path (MultiIo + eager eviction, engine_shards != 1).
   std::unique_ptr<trace::ContentionStats> lock_stats_;
-  std::unique_ptr<ShardedEngine> sharded_;
 
-  /// Tenancy decorator over the active engine (null = single-tenant:
-  /// events go straight to the engine, exactly as before).  Serial
-  /// path: event calls still hold engine_mu_ (lock order engine_mu_
-  /// -> TenantEngine's mutex; the decorator never locks back).
+  /// Tenancy decorator over engine_ (null = single-tenant: events go
+  /// straight to the engine, exactly as before).  Calls still hold
+  /// engine_mu_ (lock order engine_mu_ -> TenantEngine's mutex; the
+  /// decorator never locks back).
   std::unique_ptr<serve::TenantEngine> tenancy_;
 
   /// Serializes block id allocation across the engine and the

@@ -92,10 +92,6 @@ std::vector<std::string> QuotaLedger::audit(const ooc::Engine& inner,
     }
     // In-flight migrations are charged here at command time but land
     // in the engine's books at completion; the sums only meet at rest.
-    // Unbounded levels are skipped when the engine reports nothing for
-    // them: the sharded engine keeps no budget (hence no used counter)
-    // for its bottom level, so there is nothing to reconcile against.
-    if (cap == 0 && inner.tier_used(l) == 0) continue;
     if (at_quiescence && total != inner.tier_used(l)) {
       std::snprintf(buf, sizeof(buf),
                     "ledger level %d: %" PRIu64

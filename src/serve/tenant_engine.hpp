@@ -1,10 +1,10 @@
 #pragma once
-// TenantEngine: the multi-tenant serving decorator over any
-// ooc::Engine (docs/SERVING.md).
+// TenantEngine: the multi-tenant serving decorator over the policy
+// engine (docs/SERVING.md).
 //
-// Implemented once against the Engine interface, so the sim executor
-// (serial PolicyEngine), the runtime's serial path and the sharded
-// path all inherit tenancy from the same ~600 lines:
+// Implemented once against the ooc::Engine interface, so the sim
+// executor and the threaded runtime both inherit tenancy from the
+// same ~600 lines wrapped around their ooc::PolicyEngine:
 //
 //   submission ──> admission verdict (token bucket, queue depth,
 //                  quota gate, QoS priority + starvation aging)
@@ -15,13 +15,10 @@
 //                     (QoS rank, round-robin) order
 //
 // Locking: one mutex serializes every entry point *including* the
-// wrapped inner calls.  Over a PolicyEngine this adds exactly the
-// serialization the caller already owed it; over a ShardedEngine it
-// does give up shard concurrency while tenancy is enabled — the
-// honest tradeoff for exact quota/admission bookkeeping, measured in
-// bench/serve_qos and called out in docs/SERVING.md.  With tenancy
-// disabled the runtime does not construct a TenantEngine at all, so
-// single-tenant paths are untouched (and stats stay byte-identical).
+// wrapped inner calls — exactly the serialization a PolicyEngine
+// caller already owes it.  With tenancy disabled the runtime does not
+// construct a TenantEngine at all, so single-tenant paths are
+// untouched (and stats stay byte-identical).
 //
 // Time is injected (set_clock): the sim feeds virtual seconds so
 // token buckets and latency percentiles are deterministic; the
@@ -92,8 +89,6 @@ public:
   /// advisor could only change victim order for no benefit, and
   /// installing it would flip the serial engine onto its LRU
   /// bookkeeping path (single-tenant runs must stay byte-identical).
-  /// Only the serial PolicyEngine accepts advisors; the sharded
-  /// engine's preemption lever is priority dispatch alone.
   ooc::AdviceProvider* advisor();
 
   // ---- verdict-aware submission (sim executor) ----

@@ -2,13 +2,11 @@
 // Multi-node cluster vocabulary (paper §VI: "We will also perform
 // comparisons ... in multi-node cluster settings").
 //
-// This header holds the network model, the per-node halo-exchange cost
-// functions, and the classic weak-scaling parameter/result structs.
-// The cluster *simulation* behind run_cluster — a genuine multi-node
+// This header holds the network model and the per-node halo-exchange
+// cost functions.  The cluster *simulation* — a genuine multi-node
 // discrete-event simulation built from a PlacementCoordinator and
-// per-node BlockStores — lives in src/cluster/ (library hmr_cluster);
-// run_cluster / the sweep helpers are declared here for source
-// compatibility but defined there, so callers must link hmr_cluster.
+// per-node BlockStores — lives in src/cluster/ (library hmr_cluster,
+// cluster::ClusterSim).
 //
 // Weak-scaling semantics for the Stencil3D workload: every node owns
 // an equal sub-domain and runs the single-node discrete-event
@@ -87,27 +85,6 @@ hw::TierId add_remote_tier(hw::MachineModel& m, const NetworkModel& net,
 std::vector<ooc::TierDesc> tiers_with_remote(const hw::MachineModel& m,
                                              const NetworkModel& net);
 
-struct ClusterParams {
-  hw::MachineModel node = hw::knl_flat_all_to_all();
-  NetworkModel net;
-  int nodes = 8;
-  /// Per-node stencil working set (weak scaling keeps this constant).
-  std::uint64_t bytes_per_node = 32ull << 30;
-  std::uint64_t reduced_bytes = 2ull << 30;
-  int iterations = 5;
-  ooc::Strategy strategy = ooc::Strategy::MultiIo;
-};
-
-struct ClusterResult {
-  int nodes = 0;
-  double node_iteration_s = 0; // local work per iteration (DES)
-  double halo_s = 0;           // inter-node exchange per iteration
-  double iteration_s = 0;      // node_iteration_s + halo_s
-  double total_s = 0;
-  double comm_fraction = 0;    // halo_s / iteration_s
-  std::uint64_t halo_bytes_per_node = 0;
-};
-
 /// Bytes a node sends per iteration: six faces of its sub-domain of
 /// `bytes_per_node` bytes of doubles (boundary nodes send fewer; this
 /// models the interior worst case, which sets the critical path).
@@ -115,15 +92,5 @@ std::uint64_t halo_bytes(std::uint64_t bytes_per_node);
 
 /// Halo exchange time for one iteration on the given network.
 double halo_time(const NetworkModel& net, std::uint64_t bytes);
-
-/// Run the weak-scaling cluster simulation (the per-node DES for local
-/// work, a cluster-level DES for the halo exchange).  Defined in
-/// hmr_cluster (src/cluster/cluster_sim.cpp) — link hmr_cluster.
-ClusterResult run_cluster(const ClusterParams& p);
-
-/// Sweep node counts with everything else fixed (weak scaling: the
-/// per-node working set stays constant).  Defined in hmr_cluster.
-std::vector<ClusterResult> weak_scaling_sweep(const ClusterParams& base,
-                                              const std::vector<int>& nodes);
 
 } // namespace hmr::sim

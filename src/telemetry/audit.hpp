@@ -1,12 +1,12 @@
 #pragma once
-// Invariant-audit plumbing: the engines recompute their own ground
-// truth (PolicyEngine::audit_invariants, ShardedEngine::
-// audit_invariants — each returns one line per violation); this
-// module owns what happens with the result: when audits run by
-// default, how reports are formatted for stderr, crash bundles and
-// the /status endpoint, and the fail-stop on violation.
+// Invariant-audit plumbing: the policy engine recomputes its own
+// ground truth (PolicyEngine::audit_invariants, wrapped by
+// serve::TenantEngine's quota audit when tenancy is on — one line per
+// violation); this module owns what happens with the result: when
+// audits run by default, how reports are formatted for stderr, crash
+// bundles and the /status endpoint, and the fail-stop on violation.
 //
-// Gating: audits are O(blocks + tasks) under the engine lock, so they
+// Gating: audits are O(blocks + live tasks) under the engine lock, so they
 // default on exactly where they are wanted — debug builds and
 // sanitizer CI (-DHMR_SANITIZE defines HMR_AUDIT_DEFAULT) — and off
 // in release, with three overrides: Config::audit (rt), SimConfig::

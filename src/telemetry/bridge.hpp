@@ -23,14 +23,15 @@
 namespace hmr::telemetry {
 
 /// hmr_policy_*_total counters (one per PolicyEngine::Stats field).
-/// `labels` distinguishes sources, e.g. `shard="3"` for per-shard
-/// exports of the sharded engine; empty = the node-wide totals.
+/// `labels` is an optional Prometheus label set distinguishing
+/// sources; empty = the node-wide totals.
 void export_policy_stats(MetricsRegistry& reg,
                          const ooc::PolicyEngine::Stats& st,
                          const std::string& labels = "");
 
 /// hmr_lock_acquisitions_total / hmr_lock_contended_total /
-/// hmr_lock_wait_seconds, per shard (label shard="i").
+/// hmr_lock_wait_seconds, per slot (label shard="i"; the runtime's
+/// engine mutex is slot 0).
 void export_contention(MetricsRegistry& reg,
                        const trace::ContentionStats& cs);
 

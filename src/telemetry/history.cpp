@@ -123,8 +123,8 @@ std::vector<std::string> HistoryBuffer::metric_names() const {
   std::vector<std::string> names;
   if (samples_.empty()) return names;
   const MetricsSnapshot& newest = samples_.back().snap;
-  // First-seen order, deduplicated: instruments repeat per label set
-  // (and per engine shard), which are not adjacent in the snapshot.
+  // First-seen order, deduplicated: instruments repeat per label set,
+  // and those are not adjacent in the snapshot.
   auto add = [&](const std::string& n) {
     if (std::find(names.begin(), names.end(), n) == names.end()) {
       names.push_back(n);

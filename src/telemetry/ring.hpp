@@ -3,10 +3,10 @@
 // trace::Tracer.
 //
 // The paper's evaluation is read off per-PE timelines, which means the
-// tracer sits directly on the scheduling hot path PR 2 de-serialized —
-// a mutex-guarded vector there reintroduces exactly the serialization
-// the sharded engine removed.  Instead each lane (worker PE or IO
-// pseudo-PE) records into its own fixed-capacity ring:
+// tracer sits directly on the scheduling hot path — a mutex-guarded
+// vector there would serialize every PE and IO thread on one lock.
+// Instead each lane (worker PE or IO pseudo-PE) records into its own
+// fixed-capacity ring:
 //
 //   * power-of-two capacity, one cache line per counter, so the fast
 //     path is claim-slot / write / publish with no lock and no

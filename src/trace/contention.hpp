@@ -1,14 +1,14 @@
 #pragma once
-// ContentionStats: per-shard lock acquisition / lock-wait counters.
+// ContentionStats: per-slot lock acquisition / lock-wait counters.
 //
 // The threaded runtime wants to report how much of its wall time is
-// spent waiting on scheduler locks (the global engine mutex, or each
-// shard of the sharded engine).  Each shard gets its own cache line of
-// atomic counters so the instrumentation itself never contends; the
-// fast path (uncontended try_lock) costs one relaxed fetch_add.
+// spent waiting on its engine mutex (one slot).  Each slot gets its
+// own cache line of atomic counters so the instrumentation itself
+// never contends; the fast path (uncontended try_lock) costs one
+// relaxed fetch_add.
 //
-// bench/rt_contention reads these to print the lock-wait fraction of
-// the global-lock vs sharded configurations.
+// bench/rt_contention reads these to print the engine lock-wait
+// fraction.
 
 #include <atomic>
 #include <chrono>

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
+#include "cluster/cluster_sim.hpp"
 #include "hw/machine_model.hpp"
 #include "ooc/policy_engine.hpp"
 #include "sim/sim_executor.hpp"
@@ -292,19 +294,19 @@ TEST(Cluster, HaloTimeLatencyVsBandwidthRegimes) {
 }
 
 TEST(Cluster, SingleNodeHasNoComm) {
-  sim::ClusterParams p;
+  cluster::ClusterConfig p;
   p.nodes = 1;
   p.bytes_per_node = 1 * GiB;
   p.reduced_bytes = 256 * MiB;
   p.iterations = 2;
-  const auto r = sim::run_cluster(p);
+  const auto r = cluster::ClusterSim(p).run();
   EXPECT_EQ(r.halo_bytes_per_node, 0u);
   EXPECT_DOUBLE_EQ(r.comm_fraction, 0.0);
   EXPECT_GT(r.iteration_s, 0.0);
 }
 
 TEST(Cluster, WeakScalingPreservesNodeSpeedup) {
-  sim::ClusterParams base;
+  cluster::ClusterConfig base;
   // Shrink the node's fast tier so a 2 GiB per-node set is out of core
   // (the regime where the runtime helps) while the test stays fast.
   base.node.tiers[base.node.fast].capacity = 512 * MiB;
@@ -313,10 +315,10 @@ TEST(Cluster, WeakScalingPreservesNodeSpeedup) {
   base.iterations = 2;
 
   auto at = [&](int n, ooc::Strategy s) {
-    sim::ClusterParams p = base;
+    cluster::ClusterConfig p = base;
     p.nodes = n;
     p.strategy = s;
-    return sim::run_cluster(p);
+    return cluster::ClusterSim(p).run();
   };
   for (int n : {2, 16}) {
     const auto naive = at(n, ooc::Strategy::Naive);
@@ -329,12 +331,22 @@ TEST(Cluster, WeakScalingPreservesNodeSpeedup) {
 }
 
 TEST(Cluster, SweepIsDeterministicAndOrdered) {
-  sim::ClusterParams base;
+  cluster::ClusterConfig base;
   base.bytes_per_node = 1 * GiB;
   base.reduced_bytes = 256 * MiB;
   base.iterations = 2;
-  const auto a = sim::weak_scaling_sweep(base, {1, 2, 4});
-  const auto b = sim::weak_scaling_sweep(base, {1, 2, 4});
+  // Weak scaling: node counts vary, the per-node working set does not.
+  const auto sweep = [&] {
+    std::vector<cluster::ClusterRunResult> out;
+    for (const int n : {1, 2, 4}) {
+      cluster::ClusterConfig p = base;
+      p.nodes = n;
+      out.push_back(cluster::ClusterSim(p).run());
+    }
+    return out;
+  };
+  const auto a = sweep();
+  const auto b = sweep();
   ASSERT_EQ(a.size(), 3u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].total_s, b[i].total_s);

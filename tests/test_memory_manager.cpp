@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -275,6 +276,49 @@ TEST(MemoryManagerZeroCopy, UnregisterFreesShadowCapacity) {
   EXPECT_EQ(mm.usage(0).shadow, 0u);
   EXPECT_EQ(mm.usage(0).used, 0u);
   EXPECT_EQ(mm.usage(1).used, 0u);
+}
+
+// Shadows are a cache: a caller that never holds more fast-tier
+// primaries than the tier fits (the policy engine's budget contract)
+// must never see a migration fail, even while other threads reclaim
+// or drop shadows on the same tier.
+TEST(MemoryManagerZeroCopy, ConcurrentReclaimNeverFailsBudgetedMigration) {
+  constexpr std::uint64_t kBytes = 64 * KiB;
+  constexpr int kSlots = 4; // fast-tier primaries the budget allows
+  constexpr int kThreads = 4;
+  constexpr int kBlocksPerThread = 4;
+  MemoryManager mm({{"DDR4", 8 * MiB}, {"MCDRAM", kSlots * kBytes}});
+  mm.set_zero_copy(true);
+  std::vector<std::vector<BlockId>> blocks(kThreads);
+  for (auto& own : blocks) {
+    for (int i = 0; i < kBlocksPerThread; ++i) {
+      own.push_back(mm.register_block(kBytes, 0));
+    }
+  }
+  std::atomic<int> budget{kSlots};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (int it = 0; it < 10000; ++it) {
+        const BlockId b =
+            blocks[static_cast<std::size_t>(t)]
+                  [static_cast<std::size_t>(it % kBlocksPerThread)];
+        int avail = budget.load();
+        while (avail == 0 || !budget.compare_exchange_weak(avail, avail - 1)) {
+          if (avail == 0) std::this_thread::yield();
+          avail = budget.load();
+        }
+        if (!mm.migrate(b, 1).ok) failures.fetch_add(1);
+        if (it % 3 == 0) mm.mark_dirty(b);
+        if (!mm.migrate(b, 0).ok) failures.fetch_add(1);
+        budget.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(mm.usage(1).used, kSlots * kBytes);
 }
 
 TEST(MemoryManagerZeroCopy, DisabledManagerNeverRetains) {

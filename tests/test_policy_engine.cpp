@@ -418,6 +418,29 @@ TEST(PolicyBatch, StepBatchMatchesPerEventCalls) {
   EXPECT_EQ(stats_a.fetch_dedup_hits, stats_b.fetch_dedup_hits);
 }
 
+// ---------- task lifecycle ----------
+
+// Ids are unique among *live* tasks only: completion drops the task's
+// record, so the engine keeps no state for finished work (a long run
+// would otherwise grow the task map by one record per task) and a
+// finished id may be submitted again.
+TEST(PolicyLifecycle, CompletedTaskIdMayBeResubmitted) {
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(0, 10);
+  InstantExecutor x(e);
+  x.arrive(make_task(1, 0, {{0, AccessMode::ReadWrite}}));
+  ASSERT_TRUE(e.quiescent());
+  EXPECT_EQ(e.live_tasks(), 0u);
+  x.arrive(make_task(1, 0, {{0, AccessMode::ReadOnly}}));
+  EXPECT_EQ(x.run_order, (std::vector<TaskId>{1, 1}));
+  EXPECT_EQ(e.stats().tasks_run, 2u);
+  EXPECT_TRUE(e.quiescent());
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+  // The retired id is gone: completing it again is a protocol error.
+  EXPECT_DEATH({ auto c = e.on_task_complete(1); (void)c; },
+               "unknown task");
+}
+
 TEST(PolicyErrors, DuplicateTaskIdDies) {
   PolicyEngine e(cfg(Strategy::MultiIo, 100));
   e.add_block(0, 10);

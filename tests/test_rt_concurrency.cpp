@@ -1,23 +1,19 @@
-// Concurrency tests for the de-serialized runtime hot path: the
-// work-stealing TierBudget, the ShardedEngine's semantic parity with
-// the serial PolicyEngine, batched message delivery, and a
-// multithreaded stress of the sharded MultiIo configuration.
+// Concurrency tests for the runtime hot path: the work-stealing
+// TierBudget, batched message delivery, and a multithreaded stress of
+// the MultiIo configuration (PE and IO threads sharing one policy
+// engine under its mutex).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "ooc/tier_budget.hpp"
-#include "ooc/policy_engine.hpp"
 #include "rt/io_handle.hpp"
 #include "rt/runtime.hpp"
-#include "rt/sharded_engine.hpp"
 
 namespace hmr {
 namespace {
@@ -81,208 +77,7 @@ TEST(TierBudget, ConcurrentClaimReleaseConservesBytes) {
   EXPECT_EQ(b.used(), 0u); // every claimed byte came back
 }
 
-// ------------------------------------------------- sharded engine parity
-
-/// Drive the serial and sharded engines through the same MultiIo
-/// event sequence and require identical traffic stats.
-TEST(ShardedEngine, MirrorsSerialEngineOnSequentialWorkload) {
-  constexpr int kPes = 4;
-  constexpr std::uint64_t kBlock = 1000;
-  constexpr std::uint64_t kCap = 4 * kBlock; // 4 resident blocks max
-
-  ooc::PolicyEngine::Config sc;
-  sc.strategy = ooc::Strategy::MultiIo;
-  sc.num_pes = kPes;
-  sc.fast_capacity = kCap;
-  ooc::PolicyEngine serial(sc);
-
-  rt::ShardedEngine::Config hc;
-  hc.num_pes = kPes;
-  hc.fast_capacity = kCap;
-  rt::ShardedEngine sharded(hc);
-
-  for (ooc::BlockId b = 0; b < 12; ++b) {
-    serial.add_block(b, kBlock);
-    sharded.add_block(b, kBlock);
-  }
-
-  // Each engine executes commands immediately (depth-first), exactly
-  // like tests/instant_executor.hpp does for the serial engine.
-  struct Driver {
-    std::function<std::vector<ooc::Command>(const ooc::TaskDesc&)> arrive;
-    std::function<std::vector<ooc::Command>(const ooc::Command&)> finish;
-    void pump(std::vector<ooc::Command> cmds) {
-      for (std::size_t i = 0; i < cmds.size(); ++i) {
-        auto more = finish(cmds[i]);
-        cmds.insert(cmds.end(), more.begin(), more.end());
-      }
-    }
-  };
-
-  Driver ds;
-  ds.arrive = [&](const ooc::TaskDesc& d) {
-    return serial.on_task_arrived(d);
-  };
-  ds.finish = [&](const ooc::Command& c) -> std::vector<ooc::Command> {
-    switch (c.kind) {
-      case ooc::Command::Kind::Fetch:
-        return serial.on_fetch_complete(c.block);
-      case ooc::Command::Kind::Evict:
-        return serial.on_evict_complete(c.block);
-      case ooc::Command::Kind::Run:
-        return serial.on_task_complete(c.task);
-    }
-    return {};
-  };
-
-  Driver dh;
-  dh.arrive = [&](const ooc::TaskDesc& d) {
-    return sharded.on_task_arrived(d);
-  };
-  dh.finish = [&](const ooc::Command& c) -> std::vector<ooc::Command> {
-    switch (c.kind) {
-      case ooc::Command::Kind::Fetch:
-        return sharded.on_fetch_complete(c.block);
-      case ooc::Command::Kind::Evict:
-        return sharded.on_evict_complete(c.block);
-      case ooc::Command::Kind::Run:
-        return sharded.on_task_complete(c.task, c.pe);
-    }
-    return {};
-  };
-
-  ooc::TaskId next = 1;
-  for (int round = 0; round < 6; ++round) {
-    for (int pe = 0; pe < kPes; ++pe) {
-      ooc::TaskDesc d;
-      d.id = next++;
-      d.pe = pe;
-      // Two deps: one private, one shared with the neighbouring PE so
-      // tasks cross shard boundaries.
-      d.deps = {{static_cast<ooc::BlockId>(pe), ooc::AccessMode::ReadWrite},
-                {static_cast<ooc::BlockId>(4 + (pe + round) % 8),
-                 ooc::AccessMode::ReadOnly}};
-      ds.pump(ds.arrive(d));
-      dh.pump(dh.arrive(d));
-    }
-  }
-
-  EXPECT_TRUE(serial.quiescent());
-  EXPECT_TRUE(sharded.quiescent());
-  const auto a = serial.stats();
-  const auto b = sharded.stats();
-  EXPECT_EQ(a.tasks_run, b.tasks_run);
-  EXPECT_EQ(a.fetches, b.fetches);
-  EXPECT_EQ(a.fetch_bytes, b.fetch_bytes);
-  EXPECT_EQ(a.evicts, b.evicts);
-  EXPECT_EQ(a.evict_bytes, b.evict_bytes);
-  EXPECT_EQ(serial.fast_used(), sharded.fast_used());
-  EXPECT_EQ(sharded.fast_used(), 0u);
-}
-
-TEST(ShardedEngine, AllOrNothingAdmissionAndFifo) {
-  rt::ShardedEngine::Config hc;
-  hc.num_pes = 1;
-  hc.fast_capacity = 2000;
-  hc.fair_admission = false;
-  rt::ShardedEngine eng(hc);
-  eng.add_block(0, 1500);
-  eng.add_block(1, 1500);
-
-  ooc::TaskDesc t1;
-  t1.id = 1;
-  t1.deps = {{0, ooc::AccessMode::ReadWrite}};
-  auto c1 = eng.on_task_arrived(t1); // claims 1500, fetch issued
-  ASSERT_EQ(c1.size(), 1u);
-  EXPECT_EQ(c1[0].kind, ooc::Command::Kind::Fetch);
-
-  ooc::TaskDesc t2;
-  t2.id = 2;
-  t2.deps = {{1, ooc::AccessMode::ReadWrite}};
-  EXPECT_TRUE(eng.on_task_arrived(t2).empty()); // 3000 > 2000: waits
-  EXPECT_EQ(eng.total_waiting(), 1u);
-
-  auto c2 = eng.on_fetch_complete(0);
-  ASSERT_EQ(c2.size(), 1u); // task 1 runnable; task 2 still blocked
-  EXPECT_EQ(c2[0].kind, ooc::Command::Kind::Run);
-
-  auto c3 = eng.on_task_complete(1, 0); // evicts block 0
-  ASSERT_EQ(c3.size(), 1u);
-  EXPECT_EQ(c3[0].kind, ooc::Command::Kind::Evict);
-
-  auto c4 = eng.on_evict_complete(0); // capacity back: admit task 2
-  ASSERT_EQ(c4.size(), 1u);
-  EXPECT_EQ(c4[0].kind, ooc::Command::Kind::Fetch);
-  EXPECT_EQ(c4[0].block, 1u);
-  EXPECT_EQ(eng.total_waiting(), 0u);
-
-  auto c5 = eng.on_fetch_complete(1);
-  ASSERT_EQ(c5.size(), 1u);
-  auto c6 = eng.on_task_complete(2, 0);
-  ASSERT_EQ(c6.size(), 1u);
-  EXPECT_TRUE(eng.on_evict_complete(1).empty());
-  EXPECT_TRUE(eng.quiescent());
-}
-
-TEST(ShardedEngine, FetchDedupAcrossShards) {
-  // Two tasks on different PEs (different shards) share one block:
-  // exactly one fetch, both runnable when it lands.
-  rt::ShardedEngine::Config hc;
-  hc.num_pes = 2;
-  hc.fast_capacity = 10000;
-  rt::ShardedEngine eng(hc);
-  eng.add_block(0, 1000);
-
-  ooc::TaskDesc a;
-  a.id = 1;
-  a.pe = 0;
-  a.deps = {{0, ooc::AccessMode::ReadOnly}};
-  ooc::TaskDesc b;
-  b.id = 2;
-  b.pe = 1;
-  b.deps = {{0, ooc::AccessMode::ReadOnly}};
-
-  auto ca = eng.on_task_arrived(a);
-  ASSERT_EQ(ca.size(), 1u);
-  EXPECT_EQ(ca[0].kind, ooc::Command::Kind::Fetch);
-  EXPECT_TRUE(eng.on_task_arrived(b).empty()); // joins the same fetch
-
-  auto runs = eng.on_fetch_complete(0);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].kind, ooc::Command::Kind::Run);
-  EXPECT_EQ(runs[1].kind, ooc::Command::Kind::Run);
-  EXPECT_EQ(eng.stats().fetches, 1u);
-  EXPECT_EQ(eng.stats().fetch_dedup_hits, 1u);
-
-  // Second completion releases the shared block.
-  EXPECT_TRUE(eng.on_task_complete(1, 0).empty()); // still claimed by 2
-  auto ev = eng.on_task_complete(2, 1);
-  ASSERT_EQ(ev.size(), 1u);
-  EXPECT_EQ(ev[0].kind, ooc::Command::Kind::Evict);
-  (void)eng.on_evict_complete(0);
-  EXPECT_TRUE(eng.quiescent());
-}
-
 // --------------------------------------------------- runtime level tests
-
-TEST(RtConcurrency, ShardedIsTheMultiIoDefault) {
-  rt::Runtime::Config cfg;
-  cfg.strategy = ooc::Strategy::MultiIo;
-  cfg.num_pes = 2;
-  cfg.mem_scale = 1.0 / 4096;
-  rt::Runtime rt(cfg);
-  EXPECT_TRUE(rt.sharded());
-  EXPECT_EQ(rt.engine_shards(), 2);
-
-  cfg.engine_shards = 1; // explicit global-lock baseline
-  rt::Runtime rt2(cfg);
-  EXPECT_FALSE(rt2.sharded());
-
-  cfg.engine_shards = 0;
-  cfg.strategy = ooc::Strategy::SingleIo; // global policy: serial path
-  rt::Runtime rt3(cfg);
-  EXPECT_FALSE(rt3.sharded());
-}
 
 TEST(RtConcurrency, BatchedSendsExecuteInOrder) {
   rt::Runtime::Config cfg;
@@ -305,7 +100,6 @@ TEST(RtConcurrency, PrefetchBatchRunsEveryTaskWithResidentData) {
   cfg.num_pes = 4;
   cfg.mem_scale = 1.0 / 4096; // 4 MiB fast tier
   rt::Runtime rt(cfg);
-  ASSERT_TRUE(rt.sharded());
 
   constexpr int kBlocks = 16; // 16 x 512 KiB = 2x the fast tier
   std::vector<std::unique_ptr<rt::IoHandle<double>>> hs;
@@ -346,14 +140,14 @@ TEST(RtConcurrency, PrefetchBatchRunsEveryTaskWithResidentData) {
 
 TEST(RtConcurrency, StressSharedBlocksAcrossShards) {
   // Many concurrent senders, cross-PE shared dependences, repeated
-  // idle barriers and block churn between rounds.  Exercises shard
-  // handoff (fetch on PE a's shard, waiter on PE b's), the budget
-  // stealing path and the atomic quiescence counters.
+  // idle barriers and block churn between rounds.  Exercises cross-PE
+  // fetch dedup (fetch issued for PE a, waiter on PE b), the engine
+  // lock under four PE and four IO threads and the atomic quiescence
+  // counters.
   rt::Runtime::Config cfg;
   cfg.num_pes = 4;
   cfg.mem_scale = 1.0 / 8192; // 2 MiB fast tier: heavy churn
   rt::Runtime rt(cfg);
-  ASSERT_TRUE(rt.sharded());
 
   constexpr int kRounds = 6;
   constexpr int kBlocks = 24;
@@ -390,37 +184,6 @@ TEST(RtConcurrency, StressSharedBlocksAcrossShards) {
   const auto st = rt.policy_stats();
   EXPECT_EQ(st.tasks_run, expected);
   EXPECT_EQ(st.fetches, st.evicts); // every fetched block went home
-}
-
-TEST(RtConcurrency, GlobalAndShardedAgreeOnSerializedWorkload) {
-  // One task in flight at a time: scheduling decisions are forced, so
-  // both engines must produce identical traffic.
-  auto run = [](int engine_shards) {
-    rt::Runtime::Config cfg;
-    cfg.num_pes = 2;
-    cfg.mem_scale = 1.0 / 4096;
-    cfg.engine_shards = engine_shards;
-    rt::Runtime rt(cfg);
-    rt::IoHandle<std::uint64_t> h(rt, 4096);
-    for (std::uint64_t i = 0; i < h.size(); ++i) h[i] = i;
-    for (int t = 0; t < 12; ++t) {
-      rt.send_prefetch(t % 2, {h.dep(ooc::AccessMode::ReadWrite)}, [&h] {
-        for (std::uint64_t i = 0; i < h.size(); ++i) h[i] += 1;
-      });
-      rt.wait_idle();
-    }
-    for (std::uint64_t i = 0; i < h.size(); ++i) {
-      EXPECT_EQ(h[i], i + 12);
-    }
-    return rt.policy_stats();
-  };
-  const auto g = run(1);
-  const auto s = run(0);
-  EXPECT_EQ(g.tasks_run, s.tasks_run);
-  EXPECT_EQ(g.fetches, s.fetches);
-  EXPECT_EQ(g.fetch_bytes, s.fetch_bytes);
-  EXPECT_EQ(g.evicts, s.evicts);
-  EXPECT_EQ(g.evict_bytes, s.evict_bytes);
 }
 
 TEST(RtConcurrency, ChunkedMigrationInsideTheRuntime) {

@@ -1,5 +1,5 @@
 // Multi-tenant serving (src/serve/): quota-ledger conservation as a
-// concurrent property test over the sharded engine, admission fairness
+// concurrent property test over the policy engine, admission fairness
 // (starvation aging, SLO-first release order), and the single-tenant
 // byte-identical guarantee the subsystem promises (docs/SERVING.md).
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ooc/policy_engine.hpp"
-#include "rt/sharded_engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/quota.hpp"
 #include "serve/tenant_engine.hpp"
@@ -164,23 +163,24 @@ TEST(Admission, RoundRobinAmongEqualRanks) {
 // ---------------------------------------------------------------------
 
 // Four threads drive four tenants' task streams through a TenantEngine
-// wrapping the sharded engine, executing every command the engine
+// wrapping a MultiIo PolicyEngine, executing every command the engine
 // returns (fetch/evict completions re-enter from the same thread, as
-// the real IO workers do).  Quota borrows, reclaims and ownership
-// transfers between tenants must never lose or double-count a byte:
-// the quiescence audit reconciles the ledger against the engine's
-// tier_used exactly.
+// the real IO workers do).  The decorator's mutex serializes every
+// inner call, exactly as the runtime's engine lock does.  Quota
+// borrows, reclaims and ownership transfers between tenants must never
+// lose or double-count a byte: the quiescence audit reconciles the
+// ledger against the engine's tier_used exactly.
 TEST(ServeConcurrency, QuotaConservationUnderConcurrentShards) {
   constexpr int kTenants = 4;
   constexpr int kBlocks = 96;
   constexpr int kTasksPerTenant = 150;
   constexpr std::uint64_t kBlockBytes = 1 * MiB;
 
-  rt::ShardedEngine::Config sc;
+  ooc::PolicyEngine::Config sc;
+  sc.strategy = ooc::Strategy::MultiIo;
   sc.num_pes = kTenants;
-  sc.num_shards = 2;
   sc.fast_capacity = 24 * MiB; // heavy eviction pressure
-  rt::ShardedEngine inner(sc);
+  ooc::PolicyEngine inner(sc);
 
   ServeConfig cfg;
   cfg.tenants.push_back(tenant(0, "slo", QosClass::LatencySLO, {0.4}));
@@ -189,6 +189,8 @@ TEST(ServeConcurrency, QuotaConservationUnderConcurrentShards) {
         tenant(t, "be-" + std::to_string(t), QosClass::BestEffort, {0.15}));
   }
   TenantEngine te(inner, cfg);
+  // Quota-aware victim selection, as rt::Runtime installs it.
+  if (auto* adv = te.advisor()) inner.set_advisor(adv);
 
   for (ooc::BlockId b = 0; b < kBlocks; ++b) {
     te.add_block(b, kBlockBytes);

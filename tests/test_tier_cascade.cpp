@@ -2,9 +2,9 @@
 // engines (docs/TIERS.md).  Covers target selection (first lower level
 // with room, overflow to the unbounded bottom), watermark trims off
 // middle levels, promotion out of a middle level, advice-forced deep
-// demotion (kLevelFar), the no-cascade ablation switch, the sharded
-// engine's fill-then-overflow variant, the tracer's per-tier-pair
-// traffic accounting, and a three-tier end-to-end sim smoke.
+// demotion (kLevelFar), the no-cascade ablation switch, the tracer's
+// per-tier-pair traffic accounting, and a three-tier end-to-end sim
+// smoke.
 
 #include <cstdint>
 #include <vector>
@@ -13,7 +13,6 @@
 
 #include "hw/machine_model.hpp"
 #include "ooc/policy_engine.hpp"
-#include "rt/sharded_engine.hpp"
 #include "sim/sim_executor.hpp"
 #include "sim/stencil_workload.hpp"
 #include "trace/tracer.hpp"
@@ -188,45 +187,6 @@ TEST(TierCascade, NoCascadeDemotesStraightToBottom) {
   }
   EXPECT_EQ(e.stats().cascade_demotions, 0u);
   EXPECT_EQ(e.tier_used(1), 0u); // middle never touched
-  EXPECT_TRUE(e.quiescent());
-}
-
-TEST(TierCascade, ShardedFillsMiddleThenOverflows) {
-  rt::ShardedEngine::Config cfg;
-  cfg.num_pes = 1;
-  cfg.tiers = {{kTop, 100, 1.0}, {kMid, 200, 1.0}, {kBot, 0, 1.0}};
-  rt::ShardedEngine e(cfg);
-  for (ooc::BlockId b = 0; b < 3; ++b)
-    EXPECT_EQ(e.add_block(b, 100), kBot);
-
-  std::vector<ooc::Command> evict_log;
-  auto pump_sh = [&](std::vector<ooc::Command> cmds) {
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-      if (cmds[i].kind == ooc::Command::Kind::Evict)
-        evict_log.push_back(cmds[i]);
-      std::vector<ooc::Command> more;
-      switch (cmds[i].kind) {
-        case ooc::Command::Kind::Fetch:
-          more = e.on_fetch_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Evict:
-          more = e.on_evict_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Run:
-          more = e.on_task_complete(cmds[i].task, cmds[i].pe);
-          break;
-      }
-      cmds.insert(cmds.end(), more.begin(), more.end());
-    }
-  };
-  for (ooc::BlockId b = 0; b < 3; ++b)
-    pump_sh(e.on_task_arrived(one_dep_task(1 + b, b)));
-
-  ASSERT_EQ(evict_log.size(), 3u);
-  EXPECT_EQ(evict_log[0].dst_tier, kMid);
-  EXPECT_EQ(evict_log[1].dst_tier, kMid);
-  EXPECT_EQ(evict_log[2].dst_tier, kBot); // middle budget exhausted
-  EXPECT_EQ(e.stats().cascade_demotions, 2u);
   EXPECT_TRUE(e.quiescent());
 }
 

@@ -5,10 +5,6 @@
 // mode, under randomized workloads and randomized completion
 // interleavings.  The reference is the real pre-N-tier engine, compiled
 // verbatim from git history under `refimpl::` (tests/refimpl/).
-//
-// The sharded engine has no such stream-level contract (its per-shard
-// queues reorder commands), so it is held to the seed engine's traffic
-// stats on sequential drives instead, mirroring the PR-2 parity test.
 
 #include <cstdint>
 #include <cstring>
@@ -21,7 +17,6 @@
 #include "mem/memory_manager.hpp"
 #include "ooc/policy_engine.hpp"
 #include "refimpl/reference_engine.hpp"
-#include "rt/sharded_engine.hpp"
 
 namespace {
 
@@ -339,84 +334,6 @@ TEST(TierEquivalence, DemoteLevelAdviceIsInertOnTwoLevels) {
   // may park), which the seed engine does too — same code path, so the
   // streams still match command for command.
   run_lockstep(sc, cfg, /*drive_seed=*/8, 1, 0);
-}
-
-// ------------------------------------------- sharded engine vs seed
-
-/// Depth-first sequential drive: every engine executes its own
-/// commands immediately.  The sharded engine may order commands
-/// differently, so the contract is the seed engine's traffic stats.
-TEST(TierEquivalence, ShardedMatchesSeedStatsSequential) {
-  const auto sc = make_scenario(61, 4, 24, 160);
-  const std::uint64_t cap = sc.total_bytes() / 3 + 64 * 32;
-
-  ref::PolicyEngine::Config rc;
-  rc.strategy = ref::Strategy::MultiIo;
-  rc.num_pes = sc.num_pes;
-  rc.fast_capacity = cap;
-  ref::PolicyEngine se(rc);
-
-  rt::ShardedEngine::Config hc;
-  hc.num_pes = sc.num_pes;
-  hc.fast_capacity = cap;
-  rt::ShardedEngine sh(hc);
-
-  for (std::uint64_t b = 0; b < sc.block_bytes.size(); ++b) {
-    se.add_block(b, sc.block_bytes[b]);
-    sh.add_block(b, sc.block_bytes[b]);
-  }
-
-  auto pump_seed = [&](std::vector<ref::Command> cmds) {
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-      std::vector<ref::Command> more;
-      switch (cmds[i].kind) {
-        case ref::Command::Kind::Fetch:
-          more = se.on_fetch_complete(cmds[i].block);
-          break;
-        case ref::Command::Kind::Evict:
-          more = se.on_evict_complete(cmds[i].block);
-          break;
-        case ref::Command::Kind::Run:
-          more = se.on_task_complete(cmds[i].task);
-          break;
-      }
-      cmds.insert(cmds.end(), more.begin(), more.end());
-    }
-  };
-  auto pump_sharded = [&](std::vector<ooc::Command> cmds) {
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-      std::vector<ooc::Command> more;
-      switch (cmds[i].kind) {
-        case ooc::Command::Kind::Fetch:
-          more = sh.on_fetch_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Evict:
-          more = sh.on_evict_complete(cmds[i].block);
-          break;
-        case ooc::Command::Kind::Run:
-          more = sh.on_task_complete(cmds[i].task, cmds[i].pe);
-          break;
-      }
-      cmds.insert(cmds.end(), more.begin(), more.end());
-    }
-  };
-
-  for (const auto& ts : sc.tasks) {
-    pump_seed(se.on_task_arrived(to_seed(ts)));
-    pump_sharded(sh.on_task_arrived(to_ntier(ts)));
-  }
-
-  EXPECT_TRUE(se.quiescent());
-  EXPECT_TRUE(sh.quiescent());
-  const auto a = sh.stats();
-  const auto& b = se.stats();
-  EXPECT_EQ(a.tasks_run, b.tasks_run);
-  EXPECT_EQ(a.fetches, b.fetches);
-  EXPECT_EQ(a.fetch_bytes, b.fetch_bytes);
-  EXPECT_EQ(a.evicts, b.evicts);
-  EXPECT_EQ(a.evict_bytes, b.evict_bytes);
-  EXPECT_EQ(sh.fast_used(), se.fast_used());
-  EXPECT_EQ(sh.fast_used(), 0u);
 }
 
 // ------------------------------- zero-copy admission vs seed engine

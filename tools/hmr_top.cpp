@@ -272,11 +272,8 @@ void render(const Frame& fr, int top_n, int width) {
     const auto* v = st.find(key);
     return v ? v->num_or(fb) : fb;
   };
-  std::printf("hmr_top — t=%.3f s  strategy=%s  sharded=%s\n",
-              num("time_s", 0),
-              st.find("strategy") ? st.find("strategy")->str.c_str() : "?",
-              st.find("sharded") && st.find("sharded")->boolean ? "yes"
-                                                                : "no");
+  std::printf("hmr_top — t=%.3f s  strategy=%s\n", num("time_s", 0),
+              st.find("strategy") ? st.find("strategy")->str.c_str() : "?");
   std::printf(
       "tasks=%.0f retired=%.0f outstanding_msgs=%.0f outstanding_ops=%.0f\n",
       num("tasks_executed", 0), num("retired", 0),
