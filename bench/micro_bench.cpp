@@ -363,23 +363,6 @@ void BM_TracerRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerRecord);
 
-void BM_TracerRecordSerial(benchmark::State& state) {
-  // The deprecated mutex + push_back path (Options::serial /
-  // HMR_TRACE_SERIAL=1) for comparison with BM_TracerRecord.
-  trace::Tracer::Options opt;
-  opt.serial = true;
-  trace::Tracer t(true, opt);
-  double now = 0;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    t.record(0, trace::Category::Compute, now, now + 1e-4, 1);
-    now += 1e-4;
-    if ((++i & 4095) == 0) t.clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TracerRecordSerial);
-
 void BM_TracerRecordDrop(benchmark::State& state) {
   // The overflow path: a tiny ring that is never drained, so every
   // record after the first few is a wait-free drop (one CAS-free

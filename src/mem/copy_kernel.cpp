@@ -6,6 +6,7 @@
 #include <string>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define HMR_COPY_X86 1
@@ -200,9 +201,8 @@ CopyImpl pick_impl() {
 
 std::uint64_t pick_threshold() {
   if (const char* env = std::getenv("HMR_COPY_NT_THRESHOLD")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) return v;
+    std::uint64_t v = 0;
+    if (parse_u64(env, &v)) return v;
   }
   return kDefaultNtThreshold;
 }

@@ -17,7 +17,8 @@
 /// `__builtin_cpu_supports`.  Environment overrides for experiments:
 ///
 ///   HMR_COPY_IMPL=scalar|sse2|avx2|avx512   force an implementation
-///   HMR_COPY_NT_THRESHOLD=<bytes>           NT-store cutover (0 = off)
+///   HMR_COPY_NT_THRESHOLD=<bytes>           NT-store cutover (0 = off;
+///                                           digits only, else default)
 namespace hmr::mem {
 
 enum class CopyImpl : std::uint8_t { Scalar = 0, SSE2, AVX2, AVX512 };

@@ -13,43 +13,41 @@
 #endif
 
 #include "telemetry/bridge.hpp"
-#include "telemetry/crash.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace hmr::rt {
 
 namespace {
 
-/// The runtime's placement hierarchy: the Config override verbatim, or
-/// the model's tiers in bandwidth order with non-bottom budgets equal
-/// to the *scaled* arenas (the engine must not admit bytes the
-/// MemoryManager cannot physically hold) and the bottom unbounded.
-std::vector<ooc::TierDesc> resolve_tiers(const Runtime::Config& cfg,
-                                         const mem::MemoryManager& mm) {
-  std::vector<ooc::TierDesc> tiers = cfg.tiers;
-  if (tiers.empty()) {
-    tiers = ooc::tiers_from_model(cfg.model);
-    for (std::size_t k = 0; k + 1 < tiers.size(); ++k) {
-      tiers[k].capacity = mm.usage(tiers[k].id).capacity;
-    }
-  }
-  tiers.back().capacity = 0;
-  return tiers;
-}
-
+/// The runtime's placement hierarchy is the model's tiers in bandwidth
+/// order, with non-bottom budgets equal to the *scaled* arenas (the
+/// engine must not admit bytes the MemoryManager cannot physically
+/// hold) and the bottom unbounded.  A two-tier model therefore behaves
+/// exactly like the classic fast/slow runtime; deeper hierarchies get
+/// the engine's demotion cascade.
 ooc::PolicyEngine::Config engine_config(const Runtime::Config& cfg,
                                         const mem::MemoryManager& mm) {
   ooc::PolicyEngine::Config ec;
   ec.strategy = cfg.strategy;
   ec.num_pes = cfg.num_pes;
-  ec.tiers = resolve_tiers(cfg, mm);
+  ec.tiers = ooc::tiers_from_model(cfg.model);
+  for (std::size_t k = 0; k + 1 < ec.tiers.size(); ++k) {
+    ec.tiers[k].capacity = mm.usage(ec.tiers[k].id).capacity;
+  }
+  ec.tiers.back().capacity = 0;
   ec.fast_capacity = ec.tiers.front().capacity;
   ec.eager_evict = cfg.eager_evict;
   ec.evict_by_worker = cfg.evict_by_worker;
   ec.writeonly_nocopy = cfg.writeonly_nocopy;
-  ec.demote_cascade = cfg.demote_cascade;
   return ec;
 }
+
+/// Block flight recorder depth: the last N residency transitions per
+/// block, kept for post-mortem debugging.  Cheap — one striped-map
+/// update per migration — so it is always on; HMR_FLIGHT_DEPTH is the
+/// operator override (telemetry::flight_depth_from_env).
+constexpr std::size_t kFlightDepth = 8;
 
 /// Max engine events a PE/IO thread hands the engine per lock
 /// acquisition, and the per-wakeup drain depth of the worker loops.
@@ -85,22 +83,12 @@ void pin_to_core(std::thread& t, int core) {
 #endif
 }
 
-std::vector<mem::MemoryManager::TierSpec> tier_specs(
-    const Runtime::Config& cfg) {
-  auto specs =
-      mem::MemoryManager::specs_from_model(cfg.model, cfg.mem_scale);
-  if (cfg.mmap_arenas) {
-    for (auto& spec : specs) spec.backing = mem::ArenaBacking::Mmap;
-  }
-  return specs;
-}
-
 } // namespace
 
 Runtime::Runtime(Config cfg)
     : cfg_(std::move(cfg)),
-      mm_(std::make_unique<mem::MemoryManager>(tier_specs(cfg_),
-                                               cfg_.memory_pool)),
+      mm_(std::make_unique<mem::MemoryManager>(
+          mem::MemoryManager::specs_from_model(cfg_.model, cfg_.mem_scale))),
       engine_(engine_config(cfg_, *mm_)),
       pending_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tasks_done_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
@@ -123,19 +111,16 @@ Runtime::Runtime(Config cfg)
     telemetry::AttributionTable::Options ao;
     ao.shards = static_cast<std::size_t>(cfg_.num_pes);
     attrib_ = std::make_unique<telemetry::AttributionTable>(ao);
-  }
-  if (cfg_.metrics && cfg_.history_depth > 0) {
-    history_ = std::make_unique<telemetry::HistoryBuffer>(
-        *metrics_, cfg_.history_depth);
+    history_ = std::make_unique<telemetry::HistoryBuffer>(*metrics_);
     history_->set_clock([this] { return now(); });
   }
-  cfg_.flight_depth = telemetry::flight_depth_from_env(cfg_.flight_depth);
-  if (cfg_.flight_depth > 0) {
-    flight_ = std::make_unique<telemetry::BlockFlightRecorder>(
-        cfg_.flight_depth);
+  if (const std::size_t depth = telemetry::flight_depth_from_env(kFlightDepth);
+      depth > 0) {
+    flight_ = std::make_unique<telemetry::BlockFlightRecorder>(depth);
   }
   if (cfg_.chunk_threshold > 0) {
-    mm_->set_chunked_copy(cfg_.chunk_threshold, cfg_.chunk_bytes);
+    mm_->set_chunked_copy(cfg_.chunk_threshold,
+                          mem::ChunkRing::kDefaultChunkBytes);
   }
   if (cfg_.zero_copy) mm_->set_zero_copy(true);
   if (cfg_.lock_stats) {
@@ -147,7 +132,7 @@ Runtime::Runtime(Config cfg)
     profiler_ = std::make_unique<adapt::BlockProfiler>(cfg_.profiler_cfg);
     adapt::AdvisorConfig ac = adapt::AdvisorConfig::from_model(cfg_.model);
     advisor_ = std::make_unique<adapt::PlacementAdvisor>(*profiler_, ac);
-    adapt::GovernorConfig gc = cfg_.governor_cfg;
+    adapt::GovernorConfig gc;
     gc.initial_strategy = cfg_.strategy;
     gc.initial_eager_evict = cfg_.eager_evict;
     gc.num_pes = cfg_.num_pes;
@@ -155,13 +140,10 @@ Runtime::Runtime(Config cfg)
         cfg_.model.channel_capacity(cfg_.model.slow, cfg_.model.fast);
     governor_ = std::make_unique<adapt::StrategyGovernor>(gc);
     engine_.set_advisor(advisor_.get()); // before any thread starts
-    if (cfg_.decision_log_depth > 0) {
-      decisions_ =
-          std::make_unique<telemetry::DecisionLog>(cfg_.decision_log_depth);
-      decisions_->set_clock([this] { return now(); });
-      advisor_->set_decision_sink(decisions_.get());
-      governor_->set_decision_sink(decisions_.get());
-    }
+    decisions_ = std::make_unique<telemetry::DecisionLog>();
+    decisions_->set_clock([this] { return now(); });
+    advisor_->set_decision_sink(decisions_.get());
+    governor_->set_decision_sink(decisions_.get());
   }
   if (cfg_.serve.enabled()) {
     HMR_CHECK_MSG(!cfg_.adaptive,
@@ -783,10 +765,8 @@ void Runtime::wait_idle() {
   // so the snapshot that lands in the ring is coherent.
   if (history_) history_->sample();
   // Quiescence is the one point where every ledger must reconcile
-  // exactly — audit here, and refresh the crash bundle while the
-  // state is consistent.
+  // exactly — audit here.
   if (telemetry::audit_enabled(cfg_.audit)) run_wait_idle_audit();
-  if (crash_installed_) publish_crash_bundle();
 }
 
 void Runtime::sample_metrics() {
@@ -1055,18 +1035,7 @@ void Runtime::write_diagnostics(std::ostream& os) {
   }
 }
 
-void Runtime::publish_crash_bundle() {
-  std::ostringstream os;
-  write_diagnostics(os);
-  telemetry::CrashDumper::instance().publish(os.str());
-}
-
 void Runtime::start_introspection() {
-  if (cfg_.crash_dump) {
-    telemetry::CrashDumper::instance().install(cfg_.crash_dump_path);
-    crash_installed_ = true;
-    publish_crash_bundle(); // something to dump even before first idle
-  }
   if (cfg_.watchdog) {
     telemetry::Watchdog::Hooks h;
     h.under_load = [this] {
@@ -1092,9 +1061,6 @@ void Runtime::start_introspection() {
       return policy_stats().remote_fetches;
     };
     h.dump = [this](std::ostream& os) { write_diagnostics(os); };
-    h.tick = [this] {
-      if (crash_installed_) publish_crash_bundle();
-    };
     watchdog_ = std::make_unique<telemetry::Watchdog>(cfg_.watchdog_cfg,
                                                       std::move(h));
     watchdog_->start();
@@ -1189,7 +1155,7 @@ void Runtime::start_introspection() {
       Response r;
       if (!flight_) {
         r.status = 404;
-        r.body = "flight recorder disabled (Config::flight_depth=0)\n";
+        r.body = "flight recorder disabled (HMR_FLIGHT_DEPTH=0)\n";
         return r;
       }
       const auto it = rq.query.find("id");
@@ -1198,10 +1164,8 @@ void Runtime::start_introspection() {
         r.body = "usage: /blocks?id=<block id>\n";
         return r;
       }
-      char* end = nullptr;
-      const unsigned long long id =
-          std::strtoull(it->second.c_str(), &end, 10);
-      if (end == it->second.c_str() || *end != '\0') {
+      std::uint64_t id = 0;
+      if (!parse_u64(it->second, &id)) {
         r.status = 400;
         r.body = "bad block id: " + it->second + "\n";
         return r;
@@ -1227,11 +1191,6 @@ void Runtime::start_introspection() {
     });
     srv->route("/history", [this](const Request& rq) {
       Response r;
-      if (!history_) {
-        r.status = 404;
-        r.body = "history disabled (Config::history_depth=0)\n";
-        return r;
-      }
       std::string metric;
       double window = 0;
       if (const auto it = rq.query.find("metric"); it != rq.query.end()) {
@@ -1260,16 +1219,13 @@ void Runtime::start_introspection() {
       Response r;
       if (!decisions_) {
         r.status = 404;
-        r.body = "no decision log (Config::adaptive off or "
-                 "decision_log_depth=0)\n";
+        r.body = "no decision log (Config::adaptive off)\n";
         return r;
       }
       std::vector<telemetry::DecisionLog::Record> recs;
       if (const auto it = rq.query.find("block"); it != rq.query.end()) {
-        char* end = nullptr;
-        const unsigned long long id =
-            std::strtoull(it->second.c_str(), &end, 10);
-        if (end == it->second.c_str() || *end != '\0') {
+        std::uint64_t id = 0;
+        if (!parse_u64(it->second, &id)) {
           r.status = 400;
           r.body = "bad block id: " + it->second + "\n";
           return r;
@@ -1306,10 +1262,6 @@ void Runtime::start_introspection() {
 void Runtime::stop_introspection() {
   if (server_) server_->stop();
   if (watchdog_) watchdog_->stop();
-  if (crash_installed_) {
-    telemetry::CrashDumper::instance().uninstall();
-    crash_installed_ = false;
-  }
 }
 
 } // namespace hmr::rt

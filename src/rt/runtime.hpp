@@ -25,6 +25,13 @@
 // acquisition.  With tenancy on, the events go one at a time through
 // a serve::TenantEngine wrapped around the same engine, still under
 // engine_mu_.
+//
+// Configuration (Config) is the paper's choices — strategy, eager or
+// lazy eviction, PE count — plus the node model and opt-in telemetry.
+// The placement hierarchy always comes from the model, and the
+// always-on recorders have fixed depths (8 flight-recorder transitions
+// per block, 240 history samples, 1024 decisions), so every field
+// below has a caller that sets it.
 
 #include <atomic>
 #include <condition_variable>
@@ -71,31 +78,15 @@ public:
     bool eager_evict = true;
     bool evict_by_worker = false;
     bool writeonly_nocopy = false;
-    /// Pool freed tier buffers (paper §IV-C future-work optimization).
-    bool memory_pool = false;
     /// Record per-PE execution intervals.
     bool trace = false;
-    /// Tracer knobs (ring capacity, deprecated serial fallback).
+    /// Tracer knobs (per-lane ring capacity).
     trace::Tracer::Options trace_opts;
     /// Maintain a MetricsRegistry: latency/wait/queue-depth histograms
     /// updated inline, engine/lock/chunk counters mirrored at each
     /// wait_idle() (and on demand via sample_metrics()).  Read it
     /// through metrics().
     bool metrics = false;
-    /// Block flight recorder depth: keep the last N residency
-    /// transitions per block for post-mortem debugging (0 disables).
-    /// Cheap — one striped-map update per migration — so it stays on
-    /// by default.  The HMR_FLIGHT_DEPTH environment variable
-    /// overrides this at construction (clamped to [0, 1024]).
-    std::size_t flight_depth = 8;
-    /// Metrics history ring: keep the last N registry snapshots, one
-    /// sampled at every wait_idle() quiescence tick, served via
-    /// /history and tools/hmr_top (0 disables; needs `metrics`).
-    std::size_t history_depth = 240;
-    /// Decision provenance ring (adaptive runs): keep the last N
-    /// advisor/governor decisions with their triggering inputs, served
-    /// via /decisions and hmr_trace --decisions (0 disables).
-    std::size_t decision_log_depth = 1024;
     /// Pin threads to cores (Linux): PE i on core i, its IO thread on
     /// the SMT sibling when one exists — the paper's placement ("the
     /// IO threads are scheduled on the hyperthread cores corresponding
@@ -111,14 +102,12 @@ public:
     /// simply never fire).
     bool adaptive = false;
     adapt::ProfilerConfig profiler_cfg;
-    adapt::GovernorConfig governor_cfg;
 
     /// Chunked cooperative migration: block copies of at least
     /// `chunk_threshold` bytes stream through the MemoryManager's
-    /// ChunkRing in `chunk_bytes` pieces so idle IO threads can assist
-    /// on one large transfer.  0 disables chunking.
+    /// ChunkRing in ChunkRing::kDefaultChunkBytes pieces so idle IO
+    /// threads can assist on one large transfer.  0 disables chunking.
     std::uint64_t chunk_threshold = 1ull << 20;
-    std::uint64_t chunk_bytes = 256ull << 10;
     /// Zero-copy admission (docs/PERF.md §4): copying migrations
     /// retain their source buffer as a byte-identical shadow, and a
     /// later migration whose destination still holds a valid shadow is
@@ -129,33 +118,18 @@ public:
     /// memory().mark_dirty() itself.  Policy-inert: engine decisions
     /// and migration stats are identical with this on or off.
     bool zero_copy = false;
-    /// Back tier arenas with mmap + MADV_HUGEPAGE instead of new[];
-    /// HMR_NUMA builds additionally bind each arena to its model
-    /// tier's numa_node.  Graceful fallback at every step.
-    bool mmap_arenas = false;
     /// Collect engine-lock contention counters (bench/rt_contention
     /// reads them via lock_stats()).
     bool lock_stats = false;
-
-    /// Placement hierarchy override, fastest level first (same contract
-    /// as ooc::PolicyEngine::Config::tiers, with capacities in
-    /// *post-mem_scale* bytes).  Empty = derive from `model`: levels in
-    /// bandwidth order, non-bottom budgets equal to the scaled arenas,
-    /// bottom unbounded.  A two-tier model therefore behaves exactly
-    /// like the classic fast/slow runtime.
-    std::vector<ooc::TierDesc> tiers;
-    /// Demotion cascade on >2-level hierarchies: evicted blocks land on
-    /// the first lower level with room instead of going straight to the
-    /// bottom.  No effect on two-level hierarchies.
-    bool demote_cascade = true;
 
     // ---- live introspection & self-diagnosis (src/telemetry/) ----
 
     /// Status server port: -1 = off (default), 0 = any free loopback
     /// port (read it back with serve_port()), >0 = that port.  The
     /// server binds 127.0.0.1 only and serves /healthz, /metrics,
-    /// /status, /cluster and /blocks?id=N.  Enabling it forces
-    /// `metrics` on so /metrics has something to say.
+    /// /status, /tenants, /attrib, /blocks?id=N, /history, /decisions
+    /// and the /cluster routes.  Enabling it forces `metrics` on so
+    /// /metrics and /history have something to say.
     int serve_port = -1;
     /// /cluster route payload provider.  Kept as a plain callable so
     /// rt does not link the cluster library: wire in
@@ -177,10 +151,6 @@ public:
     /// debug / sanitizer builds, HMR_AUDIT env overrides), 0 = off,
     /// 1 = on.  A failed audit aborts (telemetry::check_audit).
     int audit = -1;
-    /// Install SIGSEGV/SIGBUS/SIGABRT handlers that append the last
-    /// pre-rendered diagnostic bundle before re-raising.
-    bool crash_dump = false;
-    std::string crash_dump_path; // empty = stderr
 
     /// Multi-tenant serving (src/serve/): registering tenants wraps
     /// the policy engine in a serve::TenantEngine — QoS-aware
@@ -215,16 +185,20 @@ public:
   /// SnapshotSampler pre-sample callback.  No-op when metrics are off.
   void sample_metrics();
 
-  /// Block flight recorder (nullptr when Config::flight_depth == 0).
+  /// Block flight recorder: the last 8 residency transitions per block
+  /// (HMR_FLIGHT_DEPTH overrides the depth; nullptr when it is 0).
   const telemetry::BlockFlightRecorder* flight_recorder() const {
     return flight_.get();
   }
 
-  /// Metrics history ring (nullptr unless metrics + history_depth).
-  /// One sample per wait_idle() quiescence tick.
+  /// Metrics history ring of the last 240 registry snapshots (nullptr
+  /// unless Config::metrics).  One sample per wait_idle() quiescence
+  /// tick, served via /history and tools/hmr_top.
   const telemetry::HistoryBuffer* history() const { return history_.get(); }
-  /// Decision provenance log (nullptr unless adaptive +
-  /// decision_log_depth).  Snapshot reads are safe from any thread.
+  /// Decision provenance log of the last 1024 advisor / governor
+  /// decisions with their triggering inputs (nullptr unless
+  /// Config::adaptive), served via /decisions and hmr_trace
+  /// --decisions.  Snapshot reads are safe from any thread.
   const telemetry::DecisionLog* decisions() const {
     return decisions_.get();
   }
@@ -336,8 +310,7 @@ public:
   /// the last audit report.  Safe from any thread.
   std::string status_json();
   /// Full diagnostic bundle: status + metrics snapshot + flight
-  /// recorder + trace summary.  Shared by watchdog trips, crash dumps
-  /// and operators holding a core file.
+  /// recorder + trace summary.  Written on watchdog trips.
   void write_diagnostics(std::ostream& os);
 
 private:
@@ -426,15 +399,13 @@ private:
   /// Fetch-latency p99 in seconds from the metrics histogram (<= 0 =
   /// unknown: metrics off or no fetches observed yet).
   double fetch_p99_seconds() const;
-  /// Start status server / watchdog / crash handlers (constructor
-  /// tail, after the worker threads exist) and stop them (destructor
-  /// head, while the workers are still alive to answer hooks).
+  /// Start status server / watchdog (constructor tail, after the
+  /// worker threads exist) and stop them (destructor head, while the
+  /// workers are still alive to answer hooks).
   void start_introspection();
   void stop_introspection();
   /// wait_idle() audit step: run, record for /status, fail-stop.
   void run_wait_idle_audit();
-  /// Re-render the crash bundle into the CrashDumper's buffers.
-  void publish_crash_bundle();
 
   Config cfg_;
   std::unique_ptr<mem::MemoryManager> mm_;
@@ -512,7 +483,6 @@ private:
   std::atomic<std::uint64_t> fetch_last_ns_{0};
   std::unique_ptr<telemetry::Watchdog> watchdog_;
   std::unique_ptr<telemetry::StatusServer> server_;
-  bool crash_installed_ = false;
   mutable std::mutex audit_mu_; // guards the two fields below
   telemetry::AuditReport last_audit_;
   std::uint64_t audit_runs_ = 0;

@@ -121,20 +121,17 @@ SimExecutor::SimExecutor(SimConfig cfg)
                         rp.latency);
     }
     advisor_ = std::make_unique<adapt::PlacementAdvisor>(*profiler_, acfg);
-    adapt::GovernorConfig gc = cfg_.governor_cfg;
+    adapt::GovernorConfig gc;
     gc.initial_strategy = cfg_.strategy;
     gc.initial_eager_evict = cfg_.eager_evict;
     gc.num_pes = m.num_pes;
     gc.channel_bytes_per_second = m.channel_capacity(m.slow, m.fast);
     governor_ = std::make_unique<adapt::StrategyGovernor>(gc);
     engine_.set_advisor(advisor_.get());
-    if (cfg_.decision_log_depth > 0) {
-      decisions_ =
-          std::make_unique<telemetry::DecisionLog>(cfg_.decision_log_depth);
-      decisions_->set_clock([this] { return now_; }); // virtual seconds
-      advisor_->set_decision_sink(decisions_.get());
-      governor_->set_decision_sink(decisions_.get());
-    }
+    decisions_ = std::make_unique<telemetry::DecisionLog>();
+    decisions_->set_clock([this] { return now_; }); // virtual seconds
+    advisor_->set_decision_sink(decisions_.get());
+    governor_->set_decision_sink(decisions_.get());
   }
   if (cfg_.serve.enabled()) {
     HMR_CHECK_MSG(!cfg_.adaptive,

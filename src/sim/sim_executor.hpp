@@ -76,7 +76,7 @@ struct SimConfig {
 
   /// Record a full interval trace (needed for figs 5/6 and timelines).
   bool trace = false;
-  /// Tracer knobs (ring capacity, deprecated serial fallback).
+  /// Tracer knobs (per-lane ring capacity).
   trace::Tracer::Options trace_opts;
 
   /// Caller-owned metrics registry (optional).  When set, the executor
@@ -93,10 +93,6 @@ struct SimConfig {
   /// every iteration boundary (virtual timestamps) into a bounded ring
   /// readable through history() (0 disables).
   std::size_t history_depth = 240;
-  /// Decision provenance ring (adaptive runs): keep the last N
-  /// advisor/governor decisions with their triggering inputs,
-  /// timestamped in virtual seconds (0 disables).
-  std::size_t decision_log_depth = 1024;
 
   /// Per-task stall attribution (telemetry::AttributionTable): every
   /// retired task's wall time decomposed into compute / fetch-wait /
@@ -151,10 +147,9 @@ struct SimConfig {
   /// StrategyGovernor retune strategy / eviction / fair admission at
   /// every iteration boundary.  `strategy` and `eager_evict` above are
   /// the *starting* configuration.  Requires a movement strategy.
+  /// Decisions land in a 1024-deep provenance log (decision_log()).
   bool adaptive = false;
   adapt::ProfilerConfig profiler_cfg;
-  adapt::GovernorConfig governor_cfg; // initial_*/machine fields are
-                                      // overwritten from this config
 };
 
 struct SimResult {
@@ -220,8 +215,9 @@ public:
   /// unless SimConfig::metrics and history_depth > 0).
   const telemetry::HistoryBuffer* history() const { return history_.get(); }
 
-  /// Decision provenance log (nullptr unless SimConfig::adaptive and
-  /// decision_log_depth > 0).
+  /// Decision provenance log of the last 1024 advisor / governor
+  /// decisions, timestamped in virtual seconds (nullptr unless
+  /// SimConfig::adaptive).
   const telemetry::DecisionLog* decision_log() const {
     return decisions_.get();
   }

@@ -3,8 +3,9 @@
 // ground truth (PolicyEngine::audit_invariants, wrapped by
 // serve::TenantEngine's quota audit when tenancy is on — one line per
 // violation); this module owns what happens with the result: when
-// audits run by default, how reports are formatted for stderr, crash
-// bundles and the /status endpoint, and the fail-stop on violation.
+// audits run by default, how reports are formatted for stderr,
+// diagnostic bundles and the /status endpoint, and the fail-stop on
+// violation.
 //
 // Gating: audits are O(blocks + live tasks) under the engine lock, so they
 // default on exactly where they are wanted — debug builds and

@@ -24,9 +24,9 @@
 namespace hmr::telemetry {
 
 /// Flight-recorder depth from the environment: HMR_FLIGHT_DEPTH
-/// overrides `fallback` (the executor's Config value), clamped to
-/// [0, 1024] — 0 disables the recorder entirely.  Unset or unparsable,
-/// `fallback` stands.  Lets operators deepen (or silence) the ring on
+/// overrides `fallback` (the executor's default depth), clamped to
+/// [0, 1024] — 0 disables the recorder entirely.  Unset, or anything
+/// but plain digits (parse_u64), `fallback` stands.  Lets operators deepen (or silence) the ring on
 /// a deployed binary without a rebuild.
 std::size_t flight_depth_from_env(std::size_t fallback);
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <map>
 
 #include "util/check.hpp"
@@ -12,19 +11,8 @@
 
 namespace hmr::trace {
 
-namespace {
-
-bool env_forces_serial() {
-  const char* v = std::getenv("HMR_TRACE_SERIAL");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-} // namespace
-
 Tracer::Tracer(bool enabled, const Options& opt)
-    : enabled_(enabled),
-      serial_(opt.serial || env_forces_serial()),
-      rings_(opt.ring_capacity) {}
+    : enabled_(enabled), rings_(opt.ring_capacity) {}
 
 const char* category_name(Category c) {
   switch (c) {
@@ -69,13 +57,11 @@ double TraceSummary::overhead_fraction() const {
 }
 
 void Tracer::push(const Interval& iv) {
-  if (!serial_) {
-    if (telemetry::EventRing<Interval>* ring = rings_.lane(iv.lane)) {
-      ring->try_push(iv); // full ring: drop, counted in the ring
-      return;
-    }
-    // Lane id beyond the ring table: fall through to the serial path.
+  if (telemetry::EventRing<Interval>* ring = rings_.lane(iv.lane)) {
+    ring->try_push(iv); // full ring: drop, counted in the ring
+    return;
   }
+  // Lane id beyond the ring table: append under the consumer mutex.
   std::lock_guard lock(mu_);
   log_.push_back(iv);
 }

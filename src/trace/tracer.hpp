@@ -14,9 +14,9 @@
 // Recording goes through lock-free per-lane rings
 // (telemetry::EventRing) so the hot path never takes a mutex; every
 // reader (intervals, summaries, renders) drains the rings into the
-// interval log first, under the tracer's single consumer mutex.  The
-// old mutex + push_back path survives only as the Options::serial /
-// HMR_TRACE_SERIAL=1 fallback.
+// interval log first, under the tracer's single consumer mutex.  Lane
+// ids the ring table cannot hold (negative, or >= LaneRings::kMaxLanes)
+// are appended to the log directly under that mutex.
 
 #include <atomic>
 #include <cstdint>
@@ -108,11 +108,6 @@ public:
     /// drain; any reader drains, so size for the longest stretch of
     /// recording between reads.
     std::size_t ring_capacity = 1 << 14;
-    /// Deprecated serial path: record under the global mutex into the
-    /// log directly, exactly the pre-ring behaviour.  Also forced by
-    /// setting HMR_TRACE_SERIAL=1 in the environment (kill switch if
-    /// the lock-free path ever misbehaves on an exotic platform).
-    bool serial = false;
   };
 
   explicit Tracer(bool enabled = true) : Tracer(enabled, Options{}) {}
@@ -185,7 +180,6 @@ private:
   void drain_locked() const;
 
   bool enabled_;
-  bool serial_;
   std::atomic<std::uint64_t> copy_fallbacks_{0};
   mutable telemetry::LaneRings<Interval> rings_;
   mutable std::mutex mu_;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace hmr {
 
@@ -63,13 +64,8 @@ bool ArgParser::assign(const Flag& f, const std::string& value) const {
       *static_cast<std::int64_t*>(f.target) = v;
       return true;
     }
-    case Kind::Uint: {
-      if (!value.empty() && value[0] == '-') return false;
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (errno || end == value.c_str() || *end) return false;
-      *static_cast<std::uint64_t*>(f.target) = v;
-      return true;
-    }
+    case Kind::Uint:
+      return parse_u64(value, static_cast<std::uint64_t*>(f.target));
     case Kind::Double: {
       const double v = std::strtod(value.c_str(), &end);
       if (errno || end == value.c_str() || *end) return false;

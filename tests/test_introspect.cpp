@@ -379,6 +379,30 @@ TEST(RuntimeIntrospect, HistoryRejectsMalformedWindow) {
   }
 }
 
+TEST(RuntimeIntrospect, BlockIdsMustBePlainDigits) {
+  auto cfg = busy_config();
+  cfg.serve_port = 0;
+  cfg.adaptive = true; // mounts a decision log behind /decisions
+  rt::Runtime rt(cfg);
+  ASSERT_NE(rt.serve_port(), 0);
+  run_migrating_workload(rt, /*rounds=*/1);
+
+  EXPECT_NE(http_get(rt.serve_port(), "/blocks?id=0").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(http_get(rt.serve_port(), "/decisions?block=0").find("200 OK"),
+            std::string::npos);
+  // strtoull would read these as blocks 2^64-1, 7, 3 and 2^64-1
+  // (query values are percent-decoded: %20 is ' ', %2B is '+').
+  for (const char* bad : {"-1", "%207", "%2B3", "99999999999999999999"}) {
+    for (const std::string route : {"/blocks?id=", "/decisions?block="}) {
+      const std::string resp = http_get(rt.serve_port(), route + bad);
+      EXPECT_NE(resp.find("400"), std::string::npos) << route << bad;
+      EXPECT_NE(resp.find("bad block id"), std::string::npos)
+          << route << bad;
+    }
+  }
+}
+
 TEST(RuntimeIntrospect, ClusterMetricsRoutesServeAttachedFederation) {
   // Unset providers answer 404 with a wiring hint...
   {

@@ -140,22 +140,6 @@ TEST(Runtime, NaivePlacementPacksFastTierFirst) {
   EXPECT_EQ(rt.memory().block_tier(h3.id()), cfg.model.slow);
 }
 
-TEST(Runtime, MemoryPoolOptionWorks) {
-  auto cfg = small_config(ooc::Strategy::MultiIo);
-  cfg.memory_pool = true;
-  Runtime rt(cfg);
-  IoHandle<double> h(rt, 64 * KiB);
-  std::atomic<int> runs{0};
-  for (int t = 0; t < 8; ++t) {
-    rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadWrite)},
-                     [&runs] { runs.fetch_add(1); });
-    rt.wait_idle();
-  }
-  EXPECT_EQ(runs.load(), 8);
-  // Migration buffers got recycled through the pool.
-  EXPECT_GT(rt.memory().usage(cfg.model.fast).pooled, 0u);
-}
-
 TEST(Runtime, SharedReadOnlyBlockRefcounting) {
   Runtime rt(small_config(ooc::Strategy::MultiIo, /*pes=*/4));
   IoHandle<double> shared(rt, 64 * KiB);
@@ -246,6 +230,18 @@ TEST(Runtime, FreeClaimedBlockDies) {
   // so exercise the engine-side guard with an unknown id instead.
   rt.free_block(h.id());
   EXPECT_DEATH(rt.free_block(h.id()), "dead block|unknown block");
+}
+
+TEST(Runtime, TenancyWithAdaptiveGuidanceDies) {
+  // Both install a PlacementAdvisor on the one engine; the runtime
+  // refuses the pair at construction instead of letting one silently
+  // replace the other.
+  auto cfg = small_config(ooc::Strategy::MultiIo);
+  cfg.adaptive = true;
+  serve::TenantDesc t;
+  t.name = "solo";
+  cfg.serve.tenants.push_back(t);
+  EXPECT_DEATH({ Runtime rt(cfg); }, "advisor slot");
 }
 
 TEST(Runtime, WriteonlyNocopySkipsTheCopyButKeepsWrites) {

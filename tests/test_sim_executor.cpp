@@ -222,6 +222,17 @@ TEST(SimExecutor, AdaptiveRequiresMovementStrategy) {
   EXPECT_DEATH({ SimExecutor ex(cfg); }, "movement strategy");
 }
 
+TEST(SimExecutor, TenancyWithAdaptiveGuidanceDies) {
+  // Same refusal as the threaded runtime: tenancy and adaptive
+  // guidance both claim the engine's one advisor slot.
+  auto cfg = base_config(ooc::Strategy::MultiIo);
+  cfg.adaptive = true;
+  serve::TenantDesc t;
+  t.name = "solo";
+  cfg.serve.tenants.push_back(t);
+  EXPECT_DEATH({ SimExecutor ex(cfg); }, "advisor slot");
+}
+
 TEST(SimExecutor, AdaptiveStationaryStencilMatchesFixed) {
   // On a stationary workload the governor has nothing to fix: an
   // adaptive run from the paper's default configuration must track the

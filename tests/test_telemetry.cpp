@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <sstream>
@@ -150,61 +151,54 @@ Interval make_iv(std::int32_t lane, Category cat, double start,
   return iv;
 }
 
-std::vector<Interval> mixed_intervals() {
-  std::vector<Interval> ivs;
-  std::mt19937 rng(7);
-  std::uniform_int_distribution<int> lane(0, 5);
-  std::uniform_real_distribution<double> len(1e-4, 1e-2);
-  double t = 0;
-  for (int i = 0; i < 200; ++i) {
-    const double d = len(rng);
-    const auto cat = static_cast<Category>(i % 5); // no Idle
-    ivs.push_back(make_iv(lane(rng), cat, t, t + d,
-                          cat == Category::Compute ? 1 + i % 17 : 0,
-                          /*src=*/1, /*dst=*/0,
-                          cat == Category::Prefetch ? 4096u : 0u));
-    t += d * 0.5;
+TEST(TelemetryTracer, LanesBeyondRingTableReachEveryReader) {
+  // Lane ids LaneRings cannot hold bypass the rings and are appended
+  // under the consumer mutex: never dropped, whatever the ring size,
+  // and merged with ring lanes by every reader.
+  constexpr std::int32_t kHigh = LaneRings<Interval>::kMaxLanes;
+  trace::Tracer::Options opt;
+  opt.ring_capacity = 8;
+  trace::Tracer t(true, opt);
+  for (int i = 0; i < 5; ++i) {
+    t.record(0, Category::Compute, i, i + 0.5);
   }
-  return ivs;
-}
-
-TEST(TelemetryTracer, RingAndSerialPathsAgree) {
-  trace::Tracer::Options serial_opt;
-  serial_opt.serial = true;
-  trace::Tracer ring_tracer(true);
-  trace::Tracer serial_tracer(true, serial_opt);
-
-  for (const auto& iv : mixed_intervals()) {
-    ring_tracer.record_migration(iv.lane, iv.cat, iv.start, iv.end,
-                                 iv.task, iv.src_tier, iv.dst_tier,
-                                 iv.bytes);
-    serial_tracer.record_migration(iv.lane, iv.cat, iv.start, iv.end,
-                                   iv.task, iv.src_tier, iv.dst_tier,
-                                   iv.bytes);
+  for (int i = 0; i < 100; ++i) {
+    const std::int32_t lane = kHigh + i % 3;
+    if (i % 2 == 0) {
+      t.record(lane, Category::Compute, i, i + 0.5, 1 + i);
+    } else {
+      t.record_migration(lane, Category::Prefetch, i, i + 0.25, 1 + i,
+                         /*src=*/1, /*dst=*/0, 4096);
+    }
   }
-  EXPECT_EQ(ring_tracer.dropped(), 0u);
+  EXPECT_EQ(t.dropped(), 0u);
 
-  const auto a = ring_tracer.intervals();
-  const auto b = serial_tracer.intervals();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].lane, b[i].lane);
-    EXPECT_EQ(static_cast<int>(a[i].cat), static_cast<int>(b[i].cat));
-    EXPECT_DOUBLE_EQ(a[i].start, b[i].start);
-    EXPECT_DOUBLE_EQ(a[i].end, b[i].end);
-    EXPECT_EQ(a[i].task, b[i].task);
-    EXPECT_EQ(a[i].bytes, b[i].bytes);
-  }
+  const auto ivs = t.intervals();
+  ASSERT_EQ(ivs.size(), 105u);
+  EXPECT_EQ(ivs.front().lane, 0);
+  EXPECT_EQ(ivs.back().lane, kHigh + 2);
+  std::size_t high = 0;
+  for (const auto& iv : ivs) high += iv.lane >= kHigh ? 1 : 0;
+  EXPECT_EQ(high, 100u);
 
-  const auto sa = ring_tracer.summarize();
-  const auto sb = serial_tracer.summarize();
-  for (int c = 0; c < 6; ++c) {
-    const auto cat = static_cast<Category>(c);
-    EXPECT_DOUBLE_EQ(sa.total_of(cat), sb.total_of(cat));
-    EXPECT_EQ(sa.count_of(cat), sb.count_of(cat));
-  }
-  EXPECT_EQ(sa.migration_between(1, 0).bytes,
-            sb.migration_between(1, 0).bytes);
+  const auto s = t.summarize();
+  EXPECT_EQ(s.lanes, kHigh + 3);
+  EXPECT_EQ(s.count_of(Category::Compute), 55u);
+  EXPECT_DOUBLE_EQ(s.total_of(Category::Compute), 27.5);
+  EXPECT_EQ(s.count_of(Category::Prefetch), 50u);
+  EXPECT_EQ(s.migration_between(1, 0).bytes, 50u * 4096);
+  EXPECT_EQ(s.dropped, 0u);
+
+  std::ostringstream csv;
+  t.write_csv(csv);
+  const std::string text = csv.str();
+  // Header, 105 rows, two trailer comments.
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 108);
+  EXPECT_NE(text.find("\n" + std::to_string(kHigh) + ",compute,"),
+            std::string::npos);
+  EXPECT_NE(text.find("\n" + std::to_string(kHigh + 1) + ",prefetch,"),
+            std::string::npos);
+  EXPECT_NE(text.find("# dropped=0\n"), std::string::npos);
 }
 
 TEST(TelemetryTracer, FullRingDropsAndCountsWithoutBlocking) {
@@ -220,23 +214,6 @@ TEST(TelemetryTracer, FullRingDropsAndCountsWithoutBlocking) {
   const auto before = t.dropped();
   t.clear();
   EXPECT_EQ(t.dropped(), before);
-}
-
-TEST(TelemetryTracer, SerialEnvKnobForcesMutexPath) {
-  // HMR_TRACE_SERIAL=1 must defeat the ring even when Options ask for
-  // a tiny capacity: the serial path never drops.
-  ASSERT_EQ(::setenv("HMR_TRACE_SERIAL", "1", 1), 0);
-  {
-    trace::Tracer::Options opt;
-    opt.ring_capacity = 8;
-    trace::Tracer t(true, opt);
-    for (int i = 0; i < 100; ++i) {
-      t.record(0, Category::Compute, i, i + 0.5);
-    }
-    EXPECT_EQ(t.dropped(), 0u);
-    EXPECT_EQ(t.intervals().size(), 100u);
-  }
-  ::unsetenv("HMR_TRACE_SERIAL");
 }
 
 TEST(TelemetryTracer, ConcurrentRecordVsDrain) {
@@ -648,6 +625,21 @@ TEST(TelemetryPerfetto, FlowIdsAreUniqueAndPairedUnderRandomTraces) {
 }
 
 // ------------------------------------------------------ flight recorder
+
+TEST(TelemetryFlight, EnvDepthAcceptsPlainDigitsOnly) {
+  ::unsetenv("HMR_FLIGHT_DEPTH");
+  EXPECT_EQ(telemetry::flight_depth_from_env(8), 8u);
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"16", 16},   {"0", 0},       {"4096", 1024}, // clamped
+      {"-1", 8},    {" 16", 8},     {"+16", 8},     {"16k", 8},
+      {"", 8},      {"99999999999999999999", 8},
+  };
+  for (const auto& [env, want] : cases) {
+    ASSERT_EQ(::setenv("HMR_FLIGHT_DEPTH", env, 1), 0);
+    EXPECT_EQ(telemetry::flight_depth_from_env(8), want) << '"' << env << '"';
+  }
+  ::unsetenv("HMR_FLIGHT_DEPTH");
+}
 
 TEST(TelemetryFlight, KeepsLastNTransitionsOldestFirst) {
   telemetry::BlockFlightRecorder fr(/*depth=*/3);

@@ -8,6 +8,7 @@
 
 #include "util/argparse.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -129,11 +130,53 @@ TEST(ArgParse, RejectsBadValue) {
 }
 
 TEST(ArgParse, RejectsNegativeUint) {
-  std::uint64_t u = 0;
-  ArgParser p("prog", "test");
-  p.add_flag("u", "a uint", &u);
-  const char* argv[] = {"prog", "--u", "-1"};
-  EXPECT_FALSE(p.parse(3, argv));
+  // Signed, padded and overflowing values too: strtoull would accept
+  // every one of these.
+  for (const char* bad :
+       {"-1", " -1", "+3", "7 ", " 7", "99999999999999999999"}) {
+    std::uint64_t u = 5;
+    ArgParser p("prog", "test");
+    p.add_flag("u", "a uint", &u);
+    const char* argv[] = {"prog", "--u", bad};
+    EXPECT_FALSE(p.parse(3, argv)) << '"' << bad << '"';
+    EXPECT_EQ(u, 5u) << '"' << bad << '"';
+  }
+}
+
+TEST(ParseU64, AcceptsDigitsOnly) {
+  struct Case {
+    const char* in;
+    bool ok;
+    std::uint64_t want;
+  };
+  const Case cases[] = {
+      {"0", true, 0},
+      {"42", true, 42},
+      {"007", true, 7},
+      {"18446744073709551615", true, UINT64_MAX},
+      {"18446744073709551616", false, 0}, // 2^64: ERANGE
+      {"99999999999999999999", false, 0},
+      {"", false, 0},
+      {"-1", false, 0},
+      {"-0", false, 0},
+      {"+3", false, 0},
+      {" 7", false, 0},
+      {"7 ", false, 0},
+      {"\t7", false, 0},
+      {"7\n", false, 0},
+      {"1M", false, 0},
+      {"0x10", false, 0},
+      {"1.5", false, 0},
+      {"1e3", false, 0},
+  };
+  for (const auto& c : cases) {
+    std::uint64_t v = 12345;
+    EXPECT_EQ(parse_u64(c.in, &v), c.ok) << '"' << c.in << '"';
+    EXPECT_EQ(v, c.ok ? c.want : 12345u) << '"' << c.in << '"';
+  }
+  // Embedded NUL: the whole view must be digits, not a C-string prefix.
+  std::uint64_t v = 0;
+  EXPECT_FALSE(parse_u64(std::string_view("12\0" "3", 4), &v));
 }
 
 TEST(ArgParse, MissingValueFails) {

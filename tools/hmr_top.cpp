@@ -468,8 +468,9 @@ int main(int argc, char** argv) {
                         read_file(history_file, hist_text, ignored);
     } else {
       std::string ignored;
-      // 404 just means Config::history_depth=0 — dashboard minus the
-      // sparklines, not an error.
+      // The rt always mounts /history with its server; a failure
+      // here (e.g. a server without the route) costs the sparklines,
+      // not the dashboard.
       fr.have_history =
           http_get(host, static_cast<int>(port),
                    "/history?metric=hmr_tier_used_bytes", hist_text,

@@ -16,10 +16,12 @@
 // (telemetry::DecisionLog::write_csv) and renders the advisor/governor
 // decision history with the inputs that triggered each one.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -330,11 +332,14 @@ int main(int argc, char** argv) {
   std::uint64_t ring_fallbacks = 0;
   if (!read_trace(ifs, ivs, dropped, ring_fallbacks)) return 1;
 
-  // Re-inject into a serial-mode Tracer to reuse its summary and
-  // timeline code (serial: no ring capacity to size for a file of
-  // unknown length).
+  // Re-inject into a Tracer to reuse its summary and timeline code,
+  // with rings deep enough for the busiest lane so nothing drops.
+  std::map<std::int32_t, std::size_t> per_lane;
+  for (const auto& iv : ivs) ++per_lane[iv.lane];
   hmr::trace::Tracer::Options topt;
-  topt.serial = true;
+  for (const auto& [lane, n] : per_lane) {
+    topt.ring_capacity = std::max(topt.ring_capacity, n);
+  }
   hmr::trace::Tracer tracer(true, topt);
   double t0 = 0, t1 = 0;
   for (std::size_t i = 0; i < ivs.size(); ++i) {
