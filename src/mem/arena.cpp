@@ -97,11 +97,6 @@ const char* TierArena::backing_name() const {
   return actual_backing_ == Backing::Mmap ? "mmap" : "new[]";
 }
 
-std::uint64_t TierArena::round_up(std::uint64_t bytes) const {
-  const std::uint64_t a = alignment_;
-  return (bytes + a - 1) / a * a;
-}
-
 void* TierArena::alloc(std::uint64_t bytes) {
   HMR_CHECK_MSG(bytes > 0, "zero-byte tier allocation");
   const std::uint64_t need = round_up(bytes);

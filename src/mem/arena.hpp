@@ -78,6 +78,12 @@ public:
   /// Total allocations served over the arena's lifetime.
   std::uint64_t total_allocs() const { return total_allocs_; }
 
+  /// Bytes alloc(`bytes`) takes from the arena: `bytes` rounded up to
+  /// the alignment.
+  std::uint64_t round_up(std::uint64_t bytes) const {
+    return (bytes + alignment_ - 1) / alignment_ * alignment_;
+  }
+
   /// Backing actually in effect ("new[]" or "mmap"); Mmap requests fall
   /// back to "new[]" when mmap is unavailable or fails.
   const char* backing_name() const;
@@ -87,7 +93,6 @@ public:
   int bound_node() const { return bound_node_; }
 
 private:
-  std::uint64_t round_up(std::uint64_t bytes) const;
   void reserve_region(const Options& opts);
   void release_region();
 

@@ -61,18 +61,25 @@ void* MemoryManager::alloc_locked(TierState& ts, std::uint64_t bytes,
                                   bool* from_pool) {
   if (from_pool) *from_pool = false;
   if (pool_enabled_) {
-    if (void* p = ts.pool.get(bytes)) {
+    if (void* p = ts.pool.get(ts.arena->round_up(bytes))) {
       if (from_pool) *from_pool = true;
       return p;
     }
   }
+  if (void* p = ts.arena->alloc(bytes)) return p;
+  if (ts.pool.pooled_buffers() == 0) return nullptr;
+  // The pool is a cache, not a reservation: parked buffers of other
+  // sizes go back to the arena, which coalesces them, and the
+  // allocation retries in the same critical section so no other
+  // thread can take the released room first.
+  ts.pool.drain([&](void* p) { ts.arena->free(p); });
   return ts.arena->alloc(bytes);
 }
 
 void MemoryManager::free_locked(TierState& ts, void* p,
                                 std::uint64_t bytes) {
   if (pool_enabled_ && bytes > 0) {
-    ts.pool.put(p, bytes);
+    ts.pool.put(p, ts.arena->round_up(bytes));
   } else {
     ts.arena->free(p);
   }
@@ -334,10 +341,10 @@ TierUsage MemoryManager::usage(TierId t) const {
     const TierState& ts = *arenas_[t];
     std::lock_guard lock(ts.mu);
     u.capacity = ts.arena->capacity();
-    u.used = ts.arena->used();
     u.pooled = ts.pool.pooled_bytes();
+    u.used = ts.arena->used() - u.pooled;
     u.high_water = ts.arena->high_water();
-    u.live_blocks = ts.arena->live_allocations();
+    u.live_blocks = ts.arena->live_allocations() - ts.pool.pooled_buffers();
   }
   {
     std::lock_guard lock(blocks_mu_);
@@ -362,14 +369,6 @@ PoolStats MemoryManager::pool_stats(TierId t) const {
   const TierState& ts = *arenas_[t];
   std::lock_guard lock(ts.mu);
   return {ts.pool.hits(), ts.pool.misses()};
-}
-
-void MemoryManager::trim_pools() {
-  for (auto& tsp : arenas_) {
-    TierState& ts = *tsp;
-    std::lock_guard lock(ts.mu);
-    ts.pool.drain([&](void* p) { ts.arena->free(p); });
-  }
 }
 
 } // namespace hmr::mem

@@ -9,10 +9,17 @@
 //   2. memcpy src -> dst                           (real bytes move)
 //   3. numa_free the source buffer                 (free_on_tier)
 //
-// An optional per-tier pooling allocator implements the paper's stated
-// future optimization ("the creating of space in destination memory
-// could be avoided if we maintain a memory pool in each memory type");
-// bench/abl_pool_migrate measures what it buys.
+// A per-tier pooling allocator implements the paper's stated future
+// optimization ("the creating of space in destination memory could be
+// avoided if we maintain a memory pool in each memory type").  The
+// threaded runtime always turns it on; bench/abl_pool_migrate measures
+// it against the unpooled path.  Freed block buffers park in the pool
+// by exact rounded size, and a later allocation of that size reuses
+// one without touching the first-fit arena.  The pool is a cache, not
+// a reservation: an allocation that misses both pool and arena first
+// drains the tier's pool back into the arena (which coalesces it) and
+// retries, so pooled bytes never make an allocation fail, and usage()
+// counts them only under `pooled`, never under `used`.
 //
 // Thread safety: all metadata operations take an internal mutex.  The
 // memcpy itself runs outside the lock, so concurrent migrations of
@@ -58,11 +65,12 @@ struct MigrateResult {
 
 struct TierUsage {
   std::uint64_t capacity = 0;
-  std::uint64_t used = 0;        // live blocks + pooled buffers
-  std::uint64_t pooled = 0;      // bytes parked in the pool
+  std::uint64_t used = 0;        // live blocks + shadows; excludes pooled
+  std::uint64_t pooled = 0;      // bytes parked in the pool (free to reuse
+                                 // by any size: drained on a miss)
   std::uint64_t shadow = 0;      // bytes held by zero-copy shadows
-  std::uint64_t high_water = 0;
-  std::uint64_t live_blocks = 0;
+  std::uint64_t high_water = 0;  // arena peak, pooled bytes included
+  std::uint64_t live_blocks = 0; // arena allocations that are not pooled
 };
 
 struct MigrationStats {
@@ -198,8 +206,6 @@ public:
   bool pool_enabled() const { return pool_enabled_; }
   /// Buffer-pool hit/miss counters for tier `t`.
   PoolStats pool_stats(TierId t) const;
-  /// Drop all pooled buffers back to the arenas (frees their capacity).
-  void trim_pools();
 
   /// The arena backing tier `t` (backing mode / NUMA introspection).
   const TierArena& tier_arena(TierId t) const;
@@ -223,6 +229,8 @@ private:
     mutable std::mutex mu;
   };
 
+  /// Pool, then arena, then drain the pool into the arena and retry.
+  /// Caller holds ts.mu.  nullptr = no room even without the pool.
   void* alloc_locked(TierState& ts, std::uint64_t bytes, bool* from_pool);
   void free_locked(TierState& ts, void* p, std::uint64_t bytes);
   /// Allocate on tier `t`; when that fails under zero-copy, free every

@@ -8,6 +8,7 @@ void BufferPool::put(void* p, std::uint64_t bytes) {
   HMR_CHECK(p != nullptr && bytes > 0);
   classes_[bytes].push_back(p);
   pooled_bytes_ += bytes;
+  ++pooled_buffers_;
 }
 
 void* BufferPool::get(std::uint64_t bytes) {
@@ -19,6 +20,7 @@ void* BufferPool::get(std::uint64_t bytes) {
   void* p = it->second.back();
   it->second.pop_back();
   pooled_bytes_ -= bytes;
+  --pooled_buffers_;
   ++hits_;
   return p;
 }

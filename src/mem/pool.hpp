@@ -10,6 +10,8 @@
 // Buffers are pooled by their exact rounded size.  HPC block sizes are
 // highly repetitive (a chare's sub-grid, a matmul tile), so exact-size
 // matching has a near-100% hit rate for the workloads in the paper.
+// The pool is a cache, not a reservation: its owner drains it back to
+// the arena when an allocation of another size would otherwise fail.
 //
 // Not thread-safe: the owning MemoryManager serializes access per tier.
 
@@ -29,6 +31,8 @@ public:
 
   /// Bytes currently parked.
   std::uint64_t pooled_bytes() const { return pooled_bytes_; }
+  /// Buffers currently parked.
+  std::uint64_t pooled_buffers() const { return pooled_buffers_; }
 
   /// Remove every parked buffer, invoking `release(ptr)` on each.
   template <typename F>
@@ -36,6 +40,7 @@ public:
     for (auto& [sz, list] : classes_) {
       for (void* p : list) release(p);
       pooled_bytes_ -= sz * list.size();
+      pooled_buffers_ -= list.size();
       list.clear();
     }
     classes_.clear();
@@ -47,6 +52,7 @@ public:
 private:
   std::unordered_map<std::uint64_t, std::vector<void*>> classes_;
   std::uint64_t pooled_bytes_ = 0;
+  std::uint64_t pooled_buffers_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -88,7 +87,8 @@ void pin_to_core(std::thread& t, int core) {
 Runtime::Runtime(Config cfg)
     : cfg_(std::move(cfg)),
       mm_(std::make_unique<mem::MemoryManager>(
-          mem::MemoryManager::specs_from_model(cfg_.model, cfg_.mem_scale))),
+          mem::MemoryManager::specs_from_model(cfg_.model, cfg_.mem_scale),
+          /*enable_pool=*/true)),
       engine_(engine_config(cfg_, *mm_)),
       pending_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
       tasks_done_(static_cast<std::size_t>(std::max(1, cfg_.num_pes))),
@@ -1197,11 +1197,7 @@ void Runtime::start_introspection() {
         metric = it->second;
       }
       if (const auto it = rq.query.find("window"); it != rq.query.end()) {
-        char* end = nullptr;
-        window = std::strtod(it->second.c_str(), &end);
-        // !isfinite catches "nan"/"inf", which strtod accepts.
-        if (end == it->second.c_str() || *end != '\0' ||
-            !std::isfinite(window) || window < 0) {
+        if (!parse_f64(it->second, &window) || window < 0) {
           r.status = 400;
           r.body = "bad window (seconds): " + it->second +
                    "\nusage: /history?metric=<name>&window=<finite "

@@ -11,7 +11,9 @@
 //     executing, the runtime registers an OOCTask with the policy
 //     engine, whose commands drive real block migrations between two
 //     host-memory tier arenas (MemoryManager) before the method is
-//     queued on the PE's run queue;
+//     queued on the PE's run queue.  Migration buffers are always
+//     pooled per tier by exact size (the paper's §IV-C pool), and the
+//     pool gives its bytes back to the arena on a miss;
 //   * IO threads (0, 1 or one per PE, by strategy) perform the
 //     asynchronous fetches and evictions; synchronous strategies run
 //     them inline on the worker, exactly like the paper's

@@ -12,8 +12,12 @@
 //     the channel (aggregate_rate), as in Fig 7's 64-thread stress.
 //
 // The executor advances the channel lazily: after any mutation it asks
-// for the next completion time and schedules a tick there.  Generation
-// counters invalidate stale ticks.
+// for the next completion time and schedules a tick there.  Stale ticks
+// are NOT invalidated: an earlier tick is never cancelled, and every
+// tick that finds flows left schedules another, so each add_flow starts
+// one more tick chain that runs until the channel drains.  A tick with
+// nothing due completes no flow, so the cost is host time: the event
+// count grows with flows × live chains.
 
 #include <cstdint>
 #include <limits>
@@ -40,7 +44,8 @@ public:
   bool has_flows() const { return !flows_.empty(); }
   std::size_t flow_count() const { return flows_.size(); }
 
-  /// Bumped on every membership change; used to drop stale tick events.
+  /// Bumped on every membership change.  Nothing reads it yet; it is
+  /// not used to drop stale tick events (see the file comment).
   std::uint64_t generation() const { return generation_; }
 
   double current_rate() const;

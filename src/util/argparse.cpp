@@ -45,8 +45,6 @@ const ArgParser::Flag* ArgParser::find(const std::string& name) const {
 }
 
 bool ArgParser::assign(const Flag& f, const std::string& value) const {
-  errno = 0;
-  char* end = nullptr;
   switch (f.kind) {
     case Kind::Bool: {
       if (value == "true" || value == "1") {
@@ -58,20 +56,12 @@ bool ArgParser::assign(const Flag& f, const std::string& value) const {
       }
       return true;
     }
-    case Kind::Int: {
-      const long long v = std::strtoll(value.c_str(), &end, 10);
-      if (errno || end == value.c_str() || *end) return false;
-      *static_cast<std::int64_t*>(f.target) = v;
-      return true;
-    }
+    case Kind::Int:
+      return parse_i64(value, static_cast<std::int64_t*>(f.target));
     case Kind::Uint:
       return parse_u64(value, static_cast<std::uint64_t*>(f.target));
-    case Kind::Double: {
-      const double v = std::strtod(value.c_str(), &end);
-      if (errno || end == value.c_str() || *end) return false;
-      *static_cast<double*>(f.target) = v;
-      return true;
-    }
+    case Kind::Double:
+      return parse_f64(value, static_cast<double*>(f.target));
     case Kind::String:
       *static_cast<std::string*>(f.target) = value;
       return true;

@@ -369,8 +369,11 @@ TEST(RuntimeIntrospect, HistoryRejectsMalformedWindow) {
   EXPECT_NE(http_get(rt.serve_port(), "/history?window=2.5")
                 .find("200 OK"),
             std::string::npos);
-  // strtod accepts "nan"/"inf"/negatives; the route must not.
-  for (const char* bad : {"nan", "inf", "-1", "junk", "1e9x"}) {
+  // Malformed, non-finite or negative; strtod also read " 2", "+2" and
+  // "0x10" as numbers (query values are percent-decoded: %20 is ' ',
+  // %2B is '+').
+  for (const char* bad : {"nan", "inf", "-1", "junk", "1e9x", "%202",
+                          "2%20", "%2B2", "0x10", "1e999"}) {
     const std::string resp =
         http_get(rt.serve_port(), std::string("/history?window=") + bad);
     EXPECT_NE(resp.find("400"), std::string::npos) << bad;

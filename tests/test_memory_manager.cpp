@@ -122,16 +122,24 @@ TEST(MemoryManager, PoolReusesBuffers) {
   EXPECT_TRUE(r.pooled);
 }
 
-TEST(MemoryManager, PooledBytesOccupyCapacity) {
+TEST(MemoryManager, PooledBytesYieldToAllocation) {
   auto mm = make_two_tier(/*pool=*/true);
+  const BlockId a = mm.register_block(1 * MiB, 1);
   const BlockId b = mm.register_block(1 * MiB, 1);
+  ASSERT_TRUE(mm.migrate(a, 0).ok);
   ASSERT_TRUE(mm.migrate(b, 0).ok);
-  // The fast-tier buffer is parked, still holding capacity.
-  EXPECT_EQ(mm.usage(1).pooled, 1 * MiB);
-  EXPECT_EQ(mm.usage(1).used, 1 * MiB);
-  mm.trim_pools();
-  EXPECT_EQ(mm.usage(1).pooled, 0u);
+  // Both fast-tier buffers are parked: reusable, but not in use.
+  EXPECT_EQ(mm.usage(1).pooled, 2 * MiB);
   EXPECT_EQ(mm.usage(1).used, 0u);
+  EXPECT_EQ(mm.usage(1).live_blocks, 0u);
+
+  // No parked buffer has this size, and it fits only once the two
+  // 1 MiB buffers go back to the arena and coalesce.
+  const BlockId c = mm.register_block(1536 * KiB, 1);
+  ASSERT_NE(c, kInvalidBlock);
+  EXPECT_EQ(mm.usage(1).pooled, 0u);
+  EXPECT_EQ(mm.usage(1).used, 1536 * KiB);
+  EXPECT_EQ(mm.usage(1).live_blocks, 1u);
 }
 
 TEST(MemoryManager, ConcurrentMigrationsOfDistinctBlocks) {
@@ -166,6 +174,65 @@ TEST(MemoryManager, ConcurrentMigrationsOfDistinctBlocks) {
       ASSERT_EQ(p[j], i + 1);
     }
   }
+}
+
+// The pool is a cache: buffers parked by one thread never make another
+// thread's migration of a different size fail.  Each thread keeps at
+// most one block on the fast tier, inside a shared byte budget; the
+// tier holds the budget plus the worst first-fit split one resident
+// block can cause (a + 2b for sizes a, b), so only pooled bytes could
+// stand in the way.
+TEST(MemoryManager, ConcurrentPooledMigrationsNeverFail) {
+  constexpr std::uint64_t kSizes[] = {16 * KiB, 48 * KiB, 80 * KiB};
+  constexpr int kThreads = 2;
+  MemoryManager mm({{"DDR4", 8 * MiB}, {"MCDRAM", 208 * KiB}},
+                   /*enable_pool=*/true);
+  std::vector<std::vector<BlockId>> blocks(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (const std::uint64_t sz : kSizes) {
+      const BlockId b = mm.register_block(sz, 0);
+      ASSERT_NE(b, kInvalidBlock);
+      std::memset(mm.block_ptr(b), static_cast<int>(b + 1), sz);
+      blocks[static_cast<std::size_t>(t)].push_back(b);
+    }
+  }
+  std::atomic<std::int64_t> budget{128 * KiB};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      const auto& own = blocks[static_cast<std::size_t>(t)];
+      for (int it = 0; it < 3000; ++it) {
+        // The two threads walk the sizes in opposite orders so the
+        // pool always holds sizes the other thread is not asking for.
+        const std::size_t k =
+            t == 0 ? static_cast<std::size_t>(it) % own.size()
+                   : own.size() - 1 - static_cast<std::size_t>(it) % own.size();
+        const BlockId b = own[k];
+        const auto need = static_cast<std::int64_t>(kSizes[k]);
+        std::int64_t avail = budget.load();
+        while (avail < need ||
+               !budget.compare_exchange_weak(avail, avail - need)) {
+          if (avail < need) std::this_thread::yield();
+          avail = budget.load();
+        }
+        if (!mm.migrate(b, 1).ok) failures.fetch_add(1);
+        const auto* p = static_cast<const unsigned char*>(mm.block_ptr(b));
+        if (p[0] != static_cast<unsigned char>(b + 1) ||
+            p[kSizes[k] - 1] != static_cast<unsigned char>(b + 1)) {
+          failures.fetch_add(1);
+        }
+        if (!mm.migrate(b, 0).ok) failures.fetch_add(1);
+        budget.fetch_add(need);
+      }
+    });
+  }
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mm.usage(1).used, 0u);
+  EXPECT_EQ(mm.usage(1).live_blocks, 0u);
+  EXPECT_LE(mm.usage(1).pooled, mm.usage(1).capacity);
+  EXPECT_GT(mm.pool_stats(1).hits, 0u);
 }
 
 // ------------------------------------------------ zero-copy admission

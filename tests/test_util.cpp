@@ -122,11 +122,26 @@ TEST(ArgParse, RejectsUnknownFlag) {
 }
 
 TEST(ArgParse, RejectsBadValue) {
-  std::int64_t n = 0;
-  ArgParser p("prog", "test");
-  p.add_flag("n", "an int", &n);
-  const char* argv[] = {"prog", "--n", "abc"};
-  EXPECT_FALSE(p.parse(3, argv));
+  // strtoll/strtod read the leading-space, '+', hex-float, "nan" and
+  // "inf" ones as numbers.
+  for (const char* bad : {"abc", " 3", "3 ", "+3", "0x10", "1e3",
+                          "9223372036854775808"}) {
+    std::int64_t n = 5;
+    ArgParser p("prog", "test");
+    p.add_flag("n", "an int", &n);
+    const char* argv[] = {"prog", "--n", bad};
+    EXPECT_FALSE(p.parse(3, argv)) << '"' << bad << '"';
+    EXPECT_EQ(n, 5) << '"' << bad << '"';
+  }
+  for (const char* bad : {"abc", " 2.5", "2.5 ", "+2.5", "0x1p3", "nan",
+                          "inf", "1e999", "2.5x"}) {
+    double d = 5;
+    ArgParser p("prog", "test");
+    p.add_flag("d", "a double", &d);
+    const char* argv[] = {"prog", "--d", bad};
+    EXPECT_FALSE(p.parse(3, argv)) << '"' << bad << '"';
+    EXPECT_EQ(d, 5.0) << '"' << bad << '"';
+  }
 }
 
 TEST(ArgParse, RejectsNegativeUint) {
@@ -177,6 +192,73 @@ TEST(ParseU64, AcceptsDigitsOnly) {
   // Embedded NUL: the whole view must be digits, not a C-string prefix.
   std::uint64_t v = 0;
   EXPECT_FALSE(parse_u64(std::string_view("12\0" "3", 4), &v));
+}
+
+TEST(ParseI64, AcceptsOptionalMinusAndDigits) {
+  struct Case {
+    const char* in;
+    bool ok;
+    std::int64_t want;
+  };
+  const Case cases[] = {
+      {"0", true, 0},
+      {"-3", true, -3},
+      {"-0", true, 0},
+      {"007", true, 7},
+      {"9223372036854775807", true, INT64_MAX},
+      {"-9223372036854775808", true, INT64_MIN},
+      {"9223372036854775808", false, 0}, // 2^63: ERANGE
+      {"-9223372036854775809", false, 0},
+      {"", false, 0},
+      {"-", false, 0},
+      {"+3", false, 0},
+      {" 7", false, 0},
+      {"7 ", false, 0},
+      {"\t-7", false, 0},
+      {"1M", false, 0},
+      {"0x10", false, 0},
+      {"1.5", false, 0},
+  };
+  for (const auto& c : cases) {
+    std::int64_t v = 12345;
+    EXPECT_EQ(parse_i64(c.in, &v), c.ok) << '"' << c.in << '"';
+    EXPECT_EQ(v, c.ok ? c.want : 12345) << '"' << c.in << '"';
+  }
+}
+
+TEST(ParseF64, AcceptsFiniteDecimalsOnly) {
+  struct Case {
+    const char* in;
+    bool ok;
+    double want;
+  };
+  const Case cases[] = {
+      {"0", true, 0.0},
+      {"2.5", true, 2.5},
+      {"-1e-3", true, -1e-3},
+      {".5", true, 0.5},
+      {"7", true, 7.0},
+      {"1E2", true, 100.0},
+      {"1.7976931348623157e308", true, 1.7976931348623157e308},
+      {"1e999", false, 0}, // overflow
+      {"", false, 0},
+      {"+2.5", false, 0},
+      {" 2.5", false, 0},
+      {"2.5 ", false, 0},
+      {"2.5\n", false, 0},
+      {"2.5s", false, 0},
+      {"0x1p3", false, 0},
+      {"nan", false, 0},
+      {"inf", false, 0},
+      {"-inf", false, 0},
+      {"infinity", false, 0},
+      {"1e", false, 0},
+  };
+  for (const auto& c : cases) {
+    double v = 12345;
+    EXPECT_EQ(parse_f64(c.in, &v), c.ok) << '"' << c.in << '"';
+    EXPECT_EQ(v, c.ok ? c.want : 12345.0) << '"' << c.in << '"';
+  }
 }
 
 TEST(ArgParse, MissingValueFails) {
