@@ -12,6 +12,9 @@
 //      chunks helpers carried.
 //
 // --json writes BENCH_rt_contention.json for the experiment harness.
+// --check exits 2 unless the counters equal what the arguments imply:
+// every task ran once, and every chunked migration's chunks went
+// through the ring (a zero-tolerance gate; the timings are not gated).
 
 #include <sys/resource.h>
 
@@ -181,6 +184,9 @@ struct MigrateResultRow {
   std::uint64_t bytes = 0;
 };
 
+constexpr std::uint64_t kChunkThreshold = 1u << 20;
+constexpr std::uint64_t kChunkBytes = 256u << 10;
+
 /// One large block copied fast<->slow: monolithic memcpy vs ChunkRing
 /// with helper threads assisting, averaged over `reps` round trips.
 MigrateResultRow run_migrate(std::uint64_t block_bytes, int helpers,
@@ -203,7 +209,7 @@ MigrateResultRow run_migrate(std::uint64_t block_bytes, int helpers,
   }
   row.mono_s = (now_s() - t0) / (2.0 * reps);
 
-  mm.set_chunked_copy(/*threshold=*/1u << 20, /*chunk=*/256u << 10);
+  mm.set_chunked_copy(kChunkThreshold, kChunkBytes);
   std::atomic<bool> stop{false};
   std::vector<std::thread> pool;
   for (int h = 0; h < helpers; ++h) {
@@ -294,6 +300,36 @@ void run_traced(const BenchCfg& bc, const std::string& perfetto_path,
   }
 }
 
+/// --check: the counters the arguments fix exactly.  Returns the
+/// number of mismatches (each printed).
+int check_counters(const BenchCfg& bc, const RunResult& r,
+                   const MigrateResultRow& mig, std::uint64_t migrate_bytes,
+                   std::int64_t reps) {
+  const auto tasks = static_cast<std::uint64_t>(bc.pes * bc.rounds *
+                                                bc.tasks_per_round);
+  // Each of the 2 x reps chunked-phase migrations streams the whole
+  // block through the ring; the warm-up and monolithic phases run
+  // before chunking is enabled.
+  const std::uint64_t chunks =
+      migrate_bytes >= kChunkThreshold
+          ? 2 * static_cast<std::uint64_t>(reps) *
+                ((migrate_bytes + kChunkBytes - 1) / kChunkBytes)
+          : 0;
+  int bad = 0;
+  const auto expect = [&bad](const char* name, std::uint64_t got,
+                             std::uint64_t want) {
+    if (got == want) return;
+    std::fprintf(stderr, "check failed: %s = %llu, expected %llu\n", name,
+                 static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(want));
+    ++bad;
+  };
+  expect("tasks", r.tasks, tasks);
+  expect("bytes", mig.bytes, migrate_bytes);
+  expect("chunks_copied", mig.chunks, chunks);
+  return bad;
+}
+
 void print_result(const RunResult& r) {
   std::printf(
       "%-16s %9.0f tasks/s  wall %6.3fs  fetches %llu  evicts %llu\n"
@@ -358,6 +394,7 @@ void write_json(const std::string& path, const BenchCfg& bc,
 int main(int argc, char** argv) {
   BenchCfg bc;
   bool json = false;
+  bool check = false;
   std::int64_t helpers = 3;
   std::int64_t migrate_mib = 64;
   std::int64_t reps = 4;
@@ -385,6 +422,10 @@ int main(int argc, char** argv) {
   ap.add_flag("migrate-mib", "large-block size (MiB)", &migrate_mib);
   ap.add_flag("reps", "round trips in the migrate phase", &reps);
   ap.add_flag("json", "write BENCH_rt_contention.json", &json);
+  ap.add_flag("check",
+              "exit 2 unless tasks, bytes and chunks_copied equal the "
+              "values the arguments imply",
+              &check);
   ap.add_flag("perfetto",
               "run the config once more with tracing on and "
               "write its timeline as Chrome-trace JSON here",
@@ -412,9 +453,9 @@ int main(int argc, char** argv) {
   print_result(run);
   std::printf("\n");
 
-  const MigrateResultRow mig =
-      run_migrate(static_cast<std::uint64_t>(migrate_mib) << 20,
-                  static_cast<int>(helpers), static_cast<int>(reps));
+  const auto migrate_bytes = static_cast<std::uint64_t>(migrate_mib) << 20;
+  const MigrateResultRow mig = run_migrate(
+      migrate_bytes, static_cast<int>(helpers), static_cast<int>(reps));
   std::printf(
       "migrate %lld MiB: mono %.2f GB/s, chunked %.2f GB/s "
       "(%llu chunks, %llu assisted)\n",
@@ -424,5 +465,9 @@ int main(int argc, char** argv) {
 
   if (json) write_json("BENCH_rt_contention.json", bc, run, mig);
   if (!perfetto.empty() || !prom.empty()) run_traced(bc, perfetto, prom);
+  if (check) {
+    if (check_counters(bc, run, mig, migrate_bytes, reps) != 0) return 2;
+    std::printf("check: tasks, bytes and chunks_copied as expected\n");
+  }
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "mem/memory_manager.hpp"
 
+#include <array>
 #include <chrono>
 #include <cmath>
 
@@ -15,6 +16,15 @@ double now_s() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// A batch op's progress between lock sections.
+enum class Step : std::uint8_t {
+  Noop,    // already on its destination
+  Swapped, // zero-copy admission, done in the validation section
+  Move,    // steps 1-3 pending (or done, once published)
+  Retry,   // allocation pass failed: retried after the batch publishes
+  Failed,  // no room even after the retry
+};
 
 } // namespace
 
@@ -150,48 +160,82 @@ TierId MemoryManager::block_tier(BlockId b) const {
   return blocks_[b].tier;
 }
 
+struct MemoryManager::Slot {
+  Step step = Step::Noop;
+  TierId src_tier = 0;
+  void* src = nullptr;
+  void* dst = nullptr;
+};
+
 MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
                                      bool copy_contents) {
-  HMR_CHECK_MSG(dst < arenas_.size(), "bad tier id");
+  const MigrateOp op{b, dst, copy_contents};
   MigrateResult r;
+  migrate_batch({&op, 1}, {&r, 1});
+  return r;
+}
 
-  void* src_ptr = nullptr;
-  std::uint64_t bytes = 0;
-  TierId src_tier = 0;
+void MemoryManager::migrate_batch(std::span<const MigrateOp> ops,
+                                  std::span<MigrateResult> out) {
+  HMR_CHECK_MSG(out.size() == ops.size(), "one result per migration");
+  const std::size_t n = ops.size();
+  if (n == 0) return;
+  // Per-op scratch: on the stack for a runtime-sized batch (the IO
+  // threads drain at most 16 commands per wakeup).
+  std::array<Slot, 16> local;
+  std::unique_ptr<Slot[]> heap;
+  Slot* slots = local.data();
+  if (n > local.size()) {
+    heap = std::make_unique<Slot[]>(n);
+    slots = heap.get();
+  }
+
+  // Validate and mark every block in one section.  Marking makes a
+  // block's second op in this batch die like a concurrent migration.
   {
     std::lock_guard lock(blocks_mu_);
-    HMR_CHECK_MSG(b < blocks_.size() && blocks_[b].live, "dead block");
-    BlockRec& rec = blocks_[b];
-    HMR_CHECK_MSG(!rec.migrating,
-                  "concurrent migration of one block (policy bug)");
-    if (rec.tier == dst) {
-      r.ok = true;
-      return r;
-    }
-    src_tier = rec.tier;
-    bytes = rec.bytes;
-
-    // Zero-copy admission: the destination still holds this block's
-    // shadow — a byte-identical stale residence — so the migration is
-    // a pointer swap.  No alloc, no copy, no free; the old primary
-    // stays behind as the new shadow.  (With copy_contents == false
-    // the writer is about to rewrite the block, so the swapped-out
-    // primary is dropped instead of retained: its contents will no
-    // longer match.)
-    if (rec.shadow != nullptr && rec.shadow_tier == dst) {
-      std::swap(rec.ptr, rec.shadow);
-      rec.shadow_tier = src_tier;
-      shadow_bytes_[dst] -= bytes;
-      shadow_bytes_[src_tier] += bytes;
-      if (!copy_contents) drop_shadow_locked(rec);
-      rec.tier = dst;
-      zero_copy_admissions_.fetch_add(1, std::memory_order_relaxed);
-      zero_copy_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      r.ok = true;
-      r.zero_copy = true;
-    } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const MigrateOp& op = ops[i];
+      HMR_CHECK_MSG(op.dst < arenas_.size(), "bad tier id");
+      HMR_CHECK_MSG(op.block < blocks_.size() && blocks_[op.block].live,
+                    "dead block");
+      BlockRec& rec = blocks_[op.block];
+      HMR_CHECK_MSG(!rec.migrating,
+                    "concurrent migration of one block (policy bug)");
       rec.migrating = true;
-      src_ptr = rec.ptr;
+      MigrateResult& r = out[i];
+      r = MigrateResult{};
+      r.bytes = rec.bytes;
+      Slot& s = slots[i];
+      s = Slot{};
+      s.src_tier = rec.tier;
+      if (rec.tier == op.dst) {
+        r.ok = true;
+        continue;
+      }
+      // Zero-copy admission: the destination still holds this block's
+      // shadow — a byte-identical stale residence — so the migration
+      // is a pointer swap.  No alloc, no copy, no free; the old
+      // primary stays behind as the new shadow.  (With copy_contents
+      // == false the writer is about to rewrite the block, so the
+      // swapped-out primary is dropped instead of retained: its
+      // contents will no longer match.)
+      if (rec.shadow != nullptr && rec.shadow_tier == op.dst) {
+        std::swap(rec.ptr, rec.shadow);
+        rec.shadow_tier = s.src_tier;
+        shadow_bytes_[op.dst] -= rec.bytes;
+        shadow_bytes_[s.src_tier] += rec.bytes;
+        if (!op.copy_contents) drop_shadow_locked(rec);
+        rec.tier = op.dst;
+        zero_copy_admissions_.fetch_add(1, std::memory_order_relaxed);
+        zero_copy_bytes_.fetch_add(rec.bytes, std::memory_order_relaxed);
+        r.ok = true;
+        r.zero_copy = true;
+        s.step = Step::Swapped;
+        continue;
+      }
+      s.step = Step::Move;
+      s.src = rec.ptr;
       // A single shadow per block: this migration will retain the
       // source buffer (or none), so any older shadow goes now — before
       // step 1, since it may be holding the very capacity the
@@ -199,76 +243,123 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
       drop_shadow_locked(rec);
     }
   }
-  if (r.zero_copy) {
-    std::lock_guard lock(stats_mu_);
-    // The logical migration still happened: traffic stats stay
-    // identical with zero-copy on or off (equivalence contract).
-    MigrationStats& s = stats_[src_tier * arenas_.size() + dst];
-    ++s.count;
-    s.bytes += bytes;
-    return r;
-  }
 
-  // Step 1: create space on the destination (numa_alloc_onnode).
-  const double t_alloc = now_s();
-  void* dst_ptr = alloc_on(dst, bytes, &r.pooled);
-  r.alloc_s = now_s() - t_alloc;
-  if (!dst_ptr) {
-    std::lock_guard lock(blocks_mu_);
-    blocks_[b].migrating = false;
-    r.ok = false;
-    return r;
+  run_moves(ops.data(), slots, out.data(), n, /*retry=*/false);
+  // Allocations the first pass could not place, now that the batch's
+  // sources are back in their tiers (and its retained sources are
+  // shadows a reclaim may take), one op at a time.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (slots[i].step != Step::Retry) continue;
+    slots[i].step = Step::Move;
+    run_moves(&ops[i], &slots[i], &out[i], 1, /*retry=*/true);
   }
+}
 
-  // Step 2: move the data, outside any lock so migrations of distinct
-  // blocks overlap.  Skipped for write-only destinations.  Large
-  // copies stream through the ChunkRing so idle IO threads can assist
-  // (several cores cooperating on one block).
-  if (copy_contents) {
-    const double t0 = now_s();
-    if (chunk_threshold_ > 0 && bytes >= chunk_threshold_) {
-      const CopyOutcome co = ring_.run(dst_ptr, src_ptr, bytes);
-      r.chunked = true;
-      r.chunks = co.chunks;
-      r.assisted_chunks = co.assisted_chunks;
+void MemoryManager::run_moves(const MigrateOp* ops, Slot* slots,
+                              MigrateResult* out, std::size_t n,
+                              bool retry) {
+  const auto moving = [&](std::size_t i) {
+    return slots[i].step == Step::Move;
+  };
+  const auto retained = [&](std::size_t i) {
+    return zero_copy_ && ops[i].copy_contents;
+  };
+  bool any_move = false;
+  for (std::size_t i = 0; i < n && !any_move; ++i) any_move = moving(i);
+
+  if (any_move) {
+    // One clock read per op and step: each read closes the previous
+    // op's interval, so the step times tile the batch's work.
+    double t = now_s();
+    const auto lap = [&t] {
+      const double t1 = now_s();
+      const double d = t1 - t;
+      t = t1;
+      return d;
+    };
+
+    // Step 1: create space on each destination (numa_alloc_onnode),
+    // one lock section per destination tier.
+    if (retry) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!moving(i)) continue;
+        slots[i].dst = alloc_on(ops[i].dst, out[i].bytes, &out[i].pooled);
+        out[i].alloc_s += lap();
+        if (!slots[i].dst) slots[i].step = Step::Failed;
+      }
     } else {
-      copy(dst_ptr, src_ptr, bytes);
+      for (TierId k = 0; k < arenas_.size(); ++k) {
+        TierState& ts = *arenas_[k];
+        std::unique_lock<std::mutex> lock(ts.mu, std::defer_lock);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!moving(i) || ops[i].dst != k) continue;
+          if (!lock.owns_lock()) lock.lock();
+          slots[i].dst = alloc_locked(ts, out[i].bytes, &out[i].pooled);
+          out[i].alloc_s = lap();
+          if (!slots[i].dst) slots[i].step = Step::Retry;
+        }
+      }
     }
-    r.copy_s = now_s() - t0;
+
+    // Step 2: move the data, outside any lock so migrations of
+    // distinct blocks overlap.  Skipped for write-only destinations.
+    // Large copies stream through the ChunkRing so idle IO threads can
+    // assist (several cores cooperating on one block).
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!moving(i) || !ops[i].copy_contents) continue;
+      MigrateResult& r = out[i];
+      if (chunk_threshold_ > 0 && r.bytes >= chunk_threshold_) {
+        if (on_chunked_copy_) on_chunked_copy_();
+        const CopyOutcome co = ring_.run(slots[i].dst, slots[i].src, r.bytes);
+        r.chunked = true;
+        r.chunks = co.chunks;
+        r.assisted_chunks = co.assisted_chunks;
+      } else {
+        copy(slots[i].dst, slots[i].src, r.bytes);
+      }
+      r.copy_s = lap();
+    }
+
+    // Step 3: free the source buffers (numa_free), one lock section
+    // per source tier — except those zero-copy retention keeps as the
+    // block's shadow for a later swap back.
+    for (TierId k = 0; k < arenas_.size(); ++k) {
+      TierState& ts = *arenas_[k];
+      std::unique_lock<std::mutex> lock(ts.mu, std::defer_lock);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!moving(i) || slots[i].src_tier != k || retained(i)) continue;
+        if (!lock.owns_lock()) lock.lock();
+        free_locked(ts, slots[i].src, out[i].bytes);
+        out[i].free_s = lap();
+      }
+    }
   }
 
-  // Step 3: free the source buffer (numa_free) — unless zero-copy
-  // retention keeps it as the block's shadow for a later swap back.
-  const bool retain = zero_copy_ && copy_contents;
-  if (!retain) {
-    const double t0 = now_s();
-    TierState& ts = *arenas_[src_tier];
-    std::lock_guard lock(ts.mu);
-    free_locked(ts, src_ptr, bytes);
-    r.free_s = now_s() - t0;
-  }
-
-  {
-    std::lock_guard lock(blocks_mu_);
-    BlockRec& rec = blocks_[b];
-    rec.ptr = dst_ptr;
-    rec.tier = dst;
+  // Publish pointers, tiers and traffic in one closing section.  The
+  // logical migration of a zero-copy swap counts too: traffic stats
+  // stay identical with zero-copy on or off (equivalence contract).
+  std::lock_guard lock(blocks_mu_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Slot& s = slots[i];
+    if (s.step == Step::Retry) continue; // still marked: retried next
+    BlockRec& rec = blocks_[ops[i].block];
     rec.migrating = false;
-    if (retain) {
-      HMR_DCHECK(rec.shadow == nullptr);
-      rec.shadow = src_ptr;
-      rec.shadow_tier = src_tier;
-      shadow_bytes_[src_tier] += bytes;
+    if (s.step == Step::Noop || s.step == Step::Failed) continue;
+    if (s.step == Step::Move) {
+      rec.ptr = s.dst;
+      rec.tier = ops[i].dst;
+      if (retained(i)) {
+        HMR_DCHECK(rec.shadow == nullptr);
+        rec.shadow = s.src;
+        rec.shadow_tier = s.src_tier;
+        shadow_bytes_[s.src_tier] += rec.bytes;
+      }
+      out[i].ok = true;
     }
+    MigrationStats& st = stats_[s.src_tier * arenas_.size() + ops[i].dst];
+    ++st.count;
+    st.bytes += rec.bytes;
   }
-  {
-    std::lock_guard lock(stats_mu_);
-    MigrationStats& s = stats_[src_tier * arenas_.size() + dst];
-    ++s.count;
-    s.bytes += bytes;
-  }
-  r.ok = true;
-  return r;
 }
 
 void MemoryManager::mark_dirty(BlockId b) {
@@ -320,8 +411,10 @@ void* MemoryManager::alloc_on(TierId t, std::uint64_t bytes,
 }
 
 void MemoryManager::set_chunked_copy(std::uint64_t threshold,
-                                     std::uint64_t chunk) {
+                                     std::uint64_t chunk,
+                                     std::function<void()> on_chunked_copy) {
   chunk_threshold_ = threshold;
+  on_chunked_copy_ = std::move(on_chunked_copy);
   if (threshold > 0) {
     HMR_CHECK_MSG(chunk > 0, "chunk size must be positive");
     ring_.set_chunk_bytes(chunk);
@@ -360,7 +453,7 @@ const TierArena& MemoryManager::tier_arena(TierId t) const {
 
 MigrationStats MemoryManager::migration_stats(TierId src, TierId dst) const {
   HMR_CHECK(src < arenas_.size() && dst < arenas_.size());
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(blocks_mu_);
   return stats_[src * arenas_.size() + dst];
 }
 

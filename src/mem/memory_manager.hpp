@@ -9,6 +9,16 @@
 //   2. memcpy src -> dst                           (real bytes move)
 //   3. numa_free the source buffer                 (free_on_tier)
 //
+// migrate_batch() is the one implementation of that recipe, and it
+// runs the steps over a whole batch at a time: the runtime's IO
+// threads hand it every command one wakeup drained, and a single
+// migrate() is a one-element batch.  A batch takes the block table's
+// lock once to validate and mark its blocks, each destination tier's
+// lock once for all of step 1, no lock for step 2, each source tier's
+// lock once for all of step 3, and the block table's lock once more
+// to publish pointers, tiers and traffic stats — where migrating the
+// same blocks one at a time takes five locks per block.
+//
 // A per-tier pooling allocator implements the paper's stated future
 // optimization ("the creating of space in destination memory could be
 // avoided if we maintain a memory pool in each memory type").  The
@@ -30,9 +40,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,12 +61,27 @@ using hw::TierId;
 using BlockId = std::uint64_t;
 inline constexpr BlockId kInvalidBlock = ~0ull;
 
-/// Timing breakdown of one migration (for bench/fig07 and abl_pool).
+/// One migration of a batch: move `block` to tier `dst`.
+/// `copy_contents = false` skips the memcpy (valid only when the next
+/// access is write-only — the writeonly_nocopy optimization); the
+/// destination buffer's contents are then indeterminate.
+struct MigrateOp {
+  BlockId block = kInvalidBlock;
+  TierId dst = 0;
+  bool copy_contents = true;
+};
+
+/// Outcome and timing breakdown of one migration (for bench/fig07,
+/// abl_pool and the runtime's trace intervals).  The step times are
+/// this migration's own, batched or not: a batch reads the clock once
+/// after each op's allocation, copy and free, so the time to take a
+/// step's lock lands on the first op served under it.
 struct MigrateResult {
   bool ok = false;       // false: destination tier had no space
-  double alloc_s = 0;    // step 1 (0 when served from the pool)
-  double copy_s = 0;     // step 2
-  double free_s = 0;     // step 3 (0 when returned to the pool)
+  std::uint64_t bytes = 0; // the block's size (set even when !ok)
+  double alloc_s = 0;    // step 1, including any retry (pool hits: ~0)
+  double copy_s = 0;     // step 2 (0 without a copy)
+  double free_s = 0;     // step 3 (0 when the source stays as a shadow)
   bool pooled = false;   // destination buffer came from the pool
   bool chunked = false;  // step 2 went through the ChunkRing
   bool zero_copy = false; // admitted via a retained shadow: no memcpy
@@ -129,12 +156,21 @@ public:
   std::uint64_t block_bytes(BlockId b) const;
   TierId block_tier(BlockId b) const;
 
-  /// Migrate block `b` to tier `dst` (alloc + memcpy + free).  Returns
-  /// ok=false and leaves the block untouched when `dst` has no space.
-  /// No-op success when the block already lives on `dst`.
-  /// `copy_contents = false` skips the memcpy (valid only when the
-  /// next access is write-only — the writeonly_nocopy optimization);
-  /// the destination buffer's contents are then indeterminate.
+  /// Migrate every op of `ops` (alloc + memcpy + free); `out[i]`
+  /// receives ops[i]'s result and `out.size()` must equal `ops.size()`.
+  /// Each op means what migrate() means alone: ok=false leaves its
+  /// block untouched when its destination has no space, and a block
+  /// already on its destination is a no-op success.  The ops share
+  /// the lock sections (see the file comment).  A destination the
+  /// batch's allocation pass cannot fill is retried after the batch's
+  /// sources are freed and published, one op at a time, through the
+  /// pool drain and shadow reclaim — so an op fails only when its tier
+  /// cannot hold it at that point.  A block may appear once per batch;
+  /// a repeat dies like any concurrent migration of one block.
+  void migrate_batch(std::span<const MigrateOp> ops,
+                     std::span<MigrateResult> out);
+
+  /// migrate_batch() of the single op {b, dst, copy_contents}.
   MigrateResult migrate(BlockId b, TierId dst, bool copy_contents = true);
 
   // ---- cooperative chunked copies ----
@@ -145,9 +181,12 @@ public:
   // assist_copies() so several cores share one large transfer.
 
   /// Enable (threshold > 0) or disable (threshold = 0) chunked copies.
+  /// `on_chunked_copy`, when set, runs before each chunked copy starts
+  /// (the runtime wakes its idle IO threads there, so they assist).
   /// Not thread-safe against concurrent migrate(): configure before
   /// the executor starts moving data.
-  void set_chunked_copy(std::uint64_t threshold, std::uint64_t chunk);
+  void set_chunked_copy(std::uint64_t threshold, std::uint64_t chunk,
+                        std::function<void()> on_chunked_copy = {});
 
   bool chunked_copy_enabled() const { return chunk_threshold_ > 0; }
   std::uint64_t chunk_threshold() const { return chunk_threshold_; }
@@ -229,6 +268,16 @@ private:
     mutable std::mutex mu;
   };
 
+  /// A batch op's scratch state between lock sections (.cpp only).
+  struct Slot;
+
+  /// Steps 1-3 for every Move slot of ops[0, n), then the closing
+  /// blocks_mu_ section that publishes all n.  `retry` allocates
+  /// through alloc_on (pool drain + shadow reclaim) and turns a miss
+  /// into Failed; otherwise a miss becomes Retry.
+  void run_moves(const MigrateOp* ops, Slot* slots, MigrateResult* out,
+                 std::size_t n, bool retry);
+
   /// Pool, then arena, then drain the pool into the arena and retry.
   /// Caller holds ts.mu.  nullptr = no room even without the pool.
   void* alloc_locked(TierState& ts, std::uint64_t bytes, bool* from_pool);
@@ -238,14 +287,16 @@ private:
   void* alloc_on(TierId t, std::uint64_t bytes, bool* from_pool);
   /// Free `rec`'s shadow, if any.  Caller holds blocks_mu_.
   void drop_shadow_locked(BlockRec& rec);
-  // Lock order: blocks_mu_ -> a tier's mu (never the reverse).  A
-  // shadow is detached and freed inside one blocks_mu_ section, so a
-  // reclaim never finds a shadow gone while its bytes are still taken.
+  // Lock order: blocks_mu_ -> a tier's mu (never the reverse), and a
+  // batch holds at most one tier's mu at a time.  A shadow is detached
+  // and freed inside one blocks_mu_ section, so a reclaim never finds
+  // a shadow gone while its bytes are still taken.
 
   std::vector<std::unique_ptr<TierState>> arenas_;
   bool pool_enabled_;
   bool zero_copy_ = false;
   std::uint64_t chunk_threshold_ = 0; // 0 = chunking off
+  std::function<void()> on_chunked_copy_;
   ChunkRing ring_;
 
   std::atomic<std::uint64_t> zero_copy_admissions_{0};
@@ -255,10 +306,9 @@ private:
   mutable std::mutex blocks_mu_;
   std::vector<BlockRec> blocks_;
   std::vector<std::uint64_t> shadow_bytes_; // per tier, under blocks_mu_
-
-  // stats_[src * num_tiers + dst]
+  // stats_[src * num_tiers + dst], under blocks_mu_: a batch publishes
+  // its traffic in the same section as its pointers.
   std::vector<MigrationStats> stats_;
-  mutable std::mutex stats_mu_;
 };
 
 } // namespace hmr::mem

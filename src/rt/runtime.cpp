@@ -119,8 +119,10 @@ Runtime::Runtime(Config cfg)
     flight_ = std::make_unique<telemetry::BlockFlightRecorder>(depth);
   }
   if (cfg_.chunk_threshold > 0) {
+    // Idle IO threads join a chunked copy only once woken.
     mm_->set_chunked_copy(cfg_.chunk_threshold,
-                          mem::ChunkRing::kDefaultChunkBytes);
+                          mem::ChunkRing::kDefaultChunkBytes,
+                          [this] { poke_io_for_assist(); });
   }
   if (cfg_.zero_copy) mm_->set_zero_copy(true);
   if (cfg_.lock_stats) {
@@ -517,61 +519,89 @@ std::vector<ooc::Command> Runtime::engine_step(
   return cmds;
 }
 
-void Runtime::do_migrate(const ooc::Command& cmd, int trace_lane) {
-  const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
-  const double ts = now();
+void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
+                                     int trace_lane) {
+  const std::size_t n = cmds.size();
   // A write-only dependence's old contents are dead: skip the memcpy
   // (the paper's migration always copies; this is the optional
   // writeonly_nocopy extension).
-  if (mm_->chunked_copy_enabled() && !cmd.nocopy &&
-      mm_->block_bytes(cmd.block) >= mm_->chunk_threshold()) {
-    poke_io_for_assist(); // idle IO threads join the chunked copy
+  std::vector<mem::MigrateOp> ops(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ops[i] = {cmds[i].block, cmds[i].dst_tier, !cmds[i].nocopy};
   }
-  const auto res = mm_->migrate(cmd.block, cmd.dst_tier,
-                                /*copy_contents=*/!cmd.nocopy);
-  HMR_CHECK_MSG(res.ok,
-                "migration failed: tier fragmentation exceeded the policy "
-                "engine's byte budget");
-  const double te = now();
-  // Interval.task == 0 means "not task-bound"; the engine uses
-  // kInvalidTask for untriggered evictions.
-  const ooc::TaskId cause = cmd.task == ooc::kInvalidTask ? 0 : cmd.task;
-  // Traced traffic is *physical* bytes: nocopy skips the copy by
-  // contract, zero-copy admissions skip it via a shadow swap.
-  const std::uint64_t bytes =
-      cmd.nocopy || res.zero_copy ? 0 : mm_->block_bytes(cmd.block);
-  tracer_.record_migration(
-      trace_lane, fetch ? trace::Category::Prefetch : trace::Category::Evict,
-      ts, te, cause, cmd.src_tier, cmd.dst_tier, bytes);
-  if (metrics_) {
-    (fetch ? mh_.fetch_ns : mh_.evict_ns)
-        ->observe(static_cast<std::uint64_t>((te - ts) * 1e9));
+  std::vector<mem::MigrateResult> res(n);
+  // Per-migration intervals and latency samples only when someone
+  // reads them; the flight recorder needs one stamp per batch.
+  const bool timed = tracer_.enabled() || metrics_ != nullptr;
+  const double ts = timed ? now() : 0;
+  mm_->migrate_batch(ops, res);
+  const double te = timed || flight_ ? now() : 0;
+  double work = 0;
+  for (const mem::MigrateResult& r : res) {
+    HMR_CHECK_MSG(r.ok,
+                  "migration failed: tier fragmentation exceeded the policy "
+                  "engine's byte budget");
+    work += r.total();
   }
-  if (flight_) {
-    flight_->record(cmd.block,
-                    {te, cause, cmd.src_tier, cmd.dst_tier, bytes, fetch});
-  }
-  if (fetch) {
-    fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
-    fetch_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
+  // Each migration's interval is its own alloc + copy + free time plus
+  // an equal share of the batch's shared lock sections, so the
+  // intervals tile [ts, te] on this lane without overlapping.
+  const double shared =
+      std::max(0.0, (te - ts - work) / static_cast<double>(n));
 
-void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
-                                     int trace_lane) {
   std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(cmds.size());
-  for (const auto& cmd : cmds) {
-    do_migrate(cmd, trace_lane);
-    evs.push_back(cmd.kind == ooc::Command::Kind::Fetch
-                      ? ooc::PolicyEngine::Event::fetched(cmd.block)
-                      : ooc::PolicyEngine::Event::evicted(cmd.block));
+  evs.reserve(n);
+  std::uint64_t fetches = 0;
+  double start = ts;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ooc::Command& cmd = cmds[i];
+    const mem::MigrateResult& r = res[i];
+    const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
+    double end = te;
+    if (timed && i + 1 < n) end = std::min(te, start + r.total() + shared);
+    // Interval.task == 0 means "not task-bound"; the engine uses
+    // kInvalidTask for untriggered evictions.
+    const ooc::TaskId cause = cmd.task == ooc::kInvalidTask ? 0 : cmd.task;
+    // Traced traffic is *physical* bytes: nocopy skips the copy by
+    // contract, zero-copy admissions skip it via a shadow swap.
+    const std::uint64_t bytes = cmd.nocopy || r.zero_copy ? 0 : r.bytes;
+    tracer_.record_migration(
+        trace_lane, fetch ? trace::Category::Prefetch : trace::Category::Evict,
+        start, end, cause, cmd.src_tier, cmd.dst_tier, bytes);
+    if (metrics_) {
+      (fetch ? mh_.fetch_ns : mh_.evict_ns)
+          ->observe(static_cast<std::uint64_t>((end - start) * 1e9));
+    }
+    if (flight_) {
+      flight_->record(cmd.block,
+                      {end, cause, cmd.src_tier, cmd.dst_tier, bytes, fetch});
+    }
+    start = end;
+    fetches += fetch ? 1 : 0;
+    evs.push_back(fetch ? ooc::PolicyEngine::Event::fetched(cmd.block)
+                        : ooc::PolicyEngine::Event::evicted(cmd.block));
+  }
+  if (cfg_.watchdog && fetches > 0) {
+    fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
+    fetch_completed_.fetch_add(fetches, std::memory_order_relaxed);
   }
   process(engine_step(std::move(evs), /*pe=*/-1), trace_lane);
-  ops_sub(cmds.size());
+  ops_sub(n);
 }
 
 void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
+  if (cfg_.watchdog) {
+    // The watchdog's fetch-age hook is these counters' only reader.
+    // Count before dispatching, so completions never outrun them.
+    const auto fetches = static_cast<std::uint64_t>(std::count_if(
+        cmds.begin(), cmds.end(), [](const ooc::Command& c) {
+          return c.kind == ooc::Command::Kind::Fetch;
+        }));
+    if (fetches > 0) {
+      fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
+      fetch_dispatched_.fetch_add(fetches, std::memory_order_relaxed);
+    }
+  }
   for (auto& c : cmds) {
     switch (c.kind) {
       case ooc::Command::Kind::Run: {
@@ -596,10 +626,6 @@ void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
       case ooc::Command::Kind::Fetch:
       case ooc::Command::Kind::Evict: {
         ops_add(1);
-        if (c.kind == ooc::Command::Kind::Fetch) {
-          fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
-          fetch_dispatched_.fetch_add(1, std::memory_order_relaxed);
-        }
         if (c.agent == ooc::kWorkerInline) {
           // Synchronous pre/post-processing on the current thread.
           perform_transfer_batch({c}, context_lane);

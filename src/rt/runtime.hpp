@@ -24,9 +24,17 @@
 // (engine_mu_).  PE and IO threads amortize that lock by handing the
 // engine whole event batches (PolicyEngine::step_batch): a wakeup's
 // worth of arrivals, completions or finished migrations per
-// acquisition.  With tenancy on, the events go one at a time through
-// a serve::TenantEngine wrapped around the same engine, still under
-// engine_mu_.
+// acquisition.  An IO wakeup likewise hands every command it drained
+// (up to 16) to one MemoryManager::migrate_batch, which takes the
+// block table's and each tier's lock once per batch instead of once
+// per block.  The clock is read once per batch (the flight recorder's
+// stamp) unless tracing or metrics are on; then each migration's trace
+// interval and latency sample is its own step time plus an equal share
+// of the batch's lock sections, so its intervals tile the batch on the
+// IO lane.  The watchdog's fetch counters are written only when the
+// watchdog is on.  With tenancy on, the events go one at a time
+// through a serve::TenantEngine wrapped around the same engine, still
+// under engine_mu_.
 //
 // Configuration (Config) is the paper's choices — strategy, eager or
 // lazy eviction, PE count — plus the node model and opt-in telemetry.
@@ -367,11 +375,10 @@ private:
   void io_loop(int io);
   void run_ready_batch(int pe, std::vector<ReadyTask>& tasks);
   void intercept_batch(int pe, std::vector<Msg>& msgs);
-  /// Execute migrations, then report them in one engine visit.
+  /// Execute a wakeup's migrations as one MemoryManager batch, record
+  /// each one's trace interval, then report them in one engine visit.
   void perform_transfer_batch(const std::vector<ooc::Command>& cmds,
                               int trace_lane);
-  /// Execute one migration (step 1-3) and record its trace interval.
-  void do_migrate(const ooc::Command& cmd, int trace_lane);
   void process(std::vector<ooc::Command> cmds, int context_lane);
   /// One engine visit under engine_mu_: a step_batch, or one
   /// TenantEngine call per event with tenancy on.  `pe` is the PE any

@@ -35,12 +35,14 @@ void DecisionLog::record(const adapt::DecisionEvent& e) {
 
   Slot& s = slots_[r.seq % cap_];
   // Seqlock write: odd marks in-progress, the release store of the
-  // even value publishes the payload.
+  // even value publishes the payload.  Each payload store is a release,
+  // so a reader whose acquire load sees it also sees the odd sequence
+  // value stored before it (orderings on the atomics themselves, not
+  // fences: ThreadSanitizer models the former only).
   s.seq.store(2 * r.seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (std::size_t w = 0; w < kWords; ++w) {
     std::atomic_ref<std::uint64_t>(s.words[w])
-        .store(words[w], std::memory_order_relaxed);
+        .store(words[w], std::memory_order_release);
   }
   s.seq.store(2 * r.seq + 2, std::memory_order_release);
 }
@@ -61,13 +63,13 @@ std::vector<DecisionLog::Record> DecisionLog::snapshot() const {
       std::uint64_t words[kWords];
       for (std::size_t w = 0; w < kWords; ++w) {
         // atomic_ref<const T> lands only in C++26; cast away const for
-        // the relaxed load (the object itself is non-const).
+        // the load (the object itself is non-const).  Acquire keeps
+        // the sequence re-check below from moving above it.
         words[w] =
             std::atomic_ref<std::uint64_t>(
                 const_cast<std::uint64_t&>(s.words[w]))
-                .load(std::memory_order_relaxed);
+                .load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != s1) continue;
       Record r;
       std::memcpy(&r, words, sizeof(Record));

@@ -179,7 +179,9 @@ TEST(ChunkRing, SmallAndRingCopiesAreNotFallbacks) {
 TEST(ChunkedMigrate, RoundTripIntegrityThroughMemoryManager) {
   const std::uint64_t n = 4 * 1024 * 1024 + 321; // odd size, > threshold
   MemoryManager mm({{"fast", 8u << 20}, {"slow", 8u << 20}});
-  mm.set_chunked_copy(/*threshold=*/1u << 20, /*chunk=*/128u << 10);
+  int wakes = 0;
+  mm.set_chunked_copy(/*threshold=*/1u << 20, /*chunk=*/128u << 10,
+                      [&wakes] { ++wakes; });
   const BlockId b = mm.register_block(n, 1);
   ASSERT_NE(b, kInvalidBlock);
 
@@ -196,6 +198,23 @@ TEST(ChunkedMigrate, RoundTripIntegrityThroughMemoryManager) {
   ASSERT_TRUE(down.ok);
   EXPECT_TRUE(down.chunked);
   EXPECT_EQ(std::memcmp(mm.block_ptr(b), ref.data(), n), 0);
+  EXPECT_EQ(wakes, 2);
+
+  // In a batch only the over-threshold op streams through the ring,
+  // and only it runs the wake hook.
+  const BlockId small = mm.register_block(64u << 10, 1);
+  std::memset(mm.block_ptr(small), 0x77, 64u << 10);
+  const MigrateOp ops[] = {{small, 0}, {b, 0}};
+  MigrateResult res[2];
+  mm.migrate_batch(ops, res);
+  ASSERT_TRUE(res[0].ok && res[1].ok);
+  EXPECT_FALSE(res[0].chunked);
+  EXPECT_TRUE(res[1].chunked);
+  EXPECT_EQ(res[1].chunks, up.chunks);
+  EXPECT_EQ(wakes, 3);
+  EXPECT_EQ(std::memcmp(mm.block_ptr(b), ref.data(), n), 0);
+  EXPECT_EQ(static_cast<unsigned char*>(mm.block_ptr(small))[12345], 0x77);
+  mm.unregister_block(small);
   mm.unregister_block(b);
 }
 

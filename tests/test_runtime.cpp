@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <numeric>
 
@@ -170,6 +172,65 @@ TEST(Runtime, TracerRecordsCompute) {
   const auto s = rt.tracer().summarize();
   EXPECT_GE(s.count_of(trace::Category::Compute), 1u);
   EXPECT_GE(s.count_of(trace::Category::Prefetch), 1u);
+}
+
+// IO threads migrate a wakeup's commands as one batch; each migration
+// still gets its own interval on the IO thread's lane (tiling the
+// batch's wall time) and its own latency sample.
+TEST(Runtime, BatchedMigrationsTileEachIoLane) {
+  auto cfg = small_config(ooc::Strategy::MultiIo);
+  cfg.trace = true;
+  cfg.metrics = true;
+  Runtime rt(cfg);
+  std::vector<mem::BlockId> blocks;
+  for (int i = 0; i < 256; ++i) blocks.push_back(rt.alloc_block(4 * KiB));
+  for (int round = 0; round < 4; ++round) {
+    for (int pe = 0; pe < 2; ++pe) {
+      std::vector<Runtime::PrefetchMsg> batch;
+      for (int i = 0; i < 64; ++i) {
+        const auto k = static_cast<std::size_t>(pe * 128 + 2 * i);
+        Runtime::PrefetchMsg m;
+        m.deps = {{blocks[k], ooc::AccessMode::ReadWrite},
+                  {blocks[k + 1], ooc::AccessMode::ReadOnly}};
+        m.body = [] {};
+        batch.push_back(std::move(m));
+      }
+      rt.send_prefetch_batch(pe, std::move(batch));
+    }
+    rt.wait_idle();
+  }
+  ASSERT_EQ(rt.tracer().dropped(), 0u);
+  const auto st = rt.policy_stats();
+  std::map<std::int32_t, std::vector<trace::Interval>> lanes;
+  for (const trace::Interval& iv : rt.tracer().intervals()) {
+    if (iv.cat != trace::Category::Prefetch &&
+        iv.cat != trace::Category::Evict) {
+      continue;
+    }
+    EXPECT_GE(iv.lane, cfg.num_pes); // an IO thread's lane
+    lanes[iv.lane].push_back(iv);
+  }
+  std::uint64_t count = 0, bytes = 0, touching = 0;
+  for (auto& [lane, ivs] : lanes) {
+    std::sort(ivs.begin(), ivs.end(),
+              [](const auto& a, const auto& b) { return a.start < b.start; });
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
+      EXPECT_LT(ivs[i].start, ivs[i].end);
+      if (i + 1 < ivs.size()) {
+        EXPECT_LE(ivs[i].end, ivs[i + 1].start) << "lane " << lane;
+        touching += ivs[i].end == ivs[i + 1].start ? 1 : 0;
+      }
+      bytes += ivs[i].bytes;
+    }
+    count += ivs.size();
+  }
+  EXPECT_EQ(count, st.fetches + st.evicts);
+  EXPECT_EQ(bytes, st.fetch_bytes + st.evict_bytes);
+  EXPECT_GT(touching, 0u); // some wakeup moved more than one block
+  EXPECT_EQ(rt.metrics()->histogram("hmr_fetch_latency_ns").count(),
+            st.fetches);
+  EXPECT_EQ(rt.metrics()->histogram("hmr_evict_latency_ns").count(),
+            st.evicts);
 }
 
 TEST(Runtime, TasksFromTasksWork) {
