@@ -114,28 +114,49 @@ PolicyEngine::Event PolicyEngine::Event::completed(TaskId t) {
 
 std::vector<Command> PolicyEngine::step_batch(std::vector<Event> events) {
   std::vector<Command> cmds;
+  // Most events yield one or two commands (an arrival's fetches or
+  // run, a completion's evictions): one allocation covers the batch.
+  cmds.reserve(2 * events.size());
   for (Event& e : events) {
-    std::vector<Command> step;
     switch (e.kind) {
       case Event::Kind::TaskArrived:
-        step = on_task_arrived(e.task);
+        handle_arrival(std::move(e.task), cmds);
         break;
       case Event::Kind::FetchComplete:
-        step = on_fetch_complete(e.block);
+        handle_fetch_complete(e.block, cmds);
         break;
       case Event::Kind::EvictComplete:
-        step = on_evict_complete(e.block);
+        handle_evict_complete(e.block, cmds);
         break;
       case Event::Kind::TaskComplete:
-        step = on_task_complete(e.task_id);
+        handle_task_complete(e.task_id, cmds);
         break;
     }
-    if (cmds.empty()) {
-      cmds = std::move(step);
-    } else {
-      cmds.insert(cmds.end(), step.begin(), step.end());
-    }
   }
+  return cmds;
+}
+
+std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& task) {
+  std::vector<Command> cmds;
+  handle_arrival(task, cmds);
+  return cmds;
+}
+
+std::vector<Command> PolicyEngine::on_fetch_complete(BlockId b) {
+  std::vector<Command> cmds;
+  handle_fetch_complete(b, cmds);
+  return cmds;
+}
+
+std::vector<Command> PolicyEngine::on_evict_complete(BlockId b) {
+  std::vector<Command> cmds;
+  handle_evict_complete(b, cmds);
+  return cmds;
+}
+
+std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
+  std::vector<Command> cmds;
+  handle_task_complete(t, cmds);
   return cmds;
 }
 
@@ -189,15 +210,28 @@ bool PolicyEngine::dep_bypasses(BlockId b, const BlockRec& br) const {
 }
 
 PolicyEngine::BlockRec& PolicyEngine::block(BlockId b) {
-  auto it = blocks_.find(b);
-  HMR_CHECK_MSG(it != blocks_.end(), "unknown block id");
-  return it->second;
+  HMR_CHECK_MSG(has_block(b), "unknown block id");
+  return blocks_[b];
 }
 
 const PolicyEngine::BlockRec& PolicyEngine::block(BlockId b) const {
-  auto it = blocks_.find(b);
-  HMR_CHECK_MSG(it != blocks_.end(), "unknown block id");
-  return it->second;
+  HMR_CHECK_MSG(has_block(b), "unknown block id");
+  return blocks_[b];
+}
+
+PolicyEngine::TaskRec& PolicyEngine::new_task(TaskId t) {
+  if (spare_tasks_.empty()) {
+    auto [it, inserted] = tasks_.try_emplace(t);
+    HMR_CHECK_MSG(inserted, "duplicate task id");
+    return it->second;
+  }
+  auto node = std::move(spare_tasks_.back());
+  spare_tasks_.pop_back();
+  node.key() = t;
+  node.mapped() = TaskRec{};
+  auto ins = tasks_.insert(std::move(node));
+  HMR_CHECK_MSG(ins.inserted, "duplicate task id");
+  return ins.position->second;
 }
 
 PolicyEngine::TaskRec& PolicyEngine::task(TaskId t) {
@@ -206,11 +240,20 @@ PolicyEngine::TaskRec& PolicyEngine::task(TaskId t) {
   return it->second;
 }
 
-TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes) {
+PolicyEngine::BlockRec& PolicyEngine::new_block(BlockId b,
+                                                std::uint64_t bytes) {
   HMR_CHECK_MSG(bytes > 0, "zero-byte block");
-  HMR_CHECK_MSG(blocks_.find(b) == blocks_.end(), "duplicate block id");
-  BlockRec rec;
+  HMR_CHECK_MSG(b < blocks_.size() + kMaxBlockIdGap,
+                "block id too far past the dense block table");
+  if (b >= blocks_.size()) blocks_.resize(b + 1);
+  BlockRec& rec = blocks_[b];
+  HMR_CHECK_MSG(!rec.live, "duplicate block id");
+  rec.live = true;
   rec.bytes = bytes;
+  return rec;
+}
+
+TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes) {
   std::int32_t level = bottom();
   switch (cfg_.strategy) {
     case Strategy::Naive:
@@ -238,9 +281,8 @@ TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes) {
       // and fetch on demand (paper §V-B); DDR4only never moves at all.
       break;
   }
-  rec.level = level;
+  new_block(b, bytes).level = level;
   used_[static_cast<std::size_t>(level)] += bytes;
-  blocks_.emplace(b, rec);
   return tiers_[static_cast<std::size_t>(level)].id;
 }
 
@@ -252,16 +294,11 @@ TierId PolicyEngine::add_block(BlockId b, std::uint64_t bytes,
   }
   HMR_CHECK_MSG(home_level > 0,
                 "home_level 0 (the prefetch budget) is not a valid home");
-  HMR_CHECK_MSG(bytes > 0, "zero-byte block");
-  HMR_CHECK_MSG(blocks_.find(b) == blocks_.end(), "duplicate block id");
   const auto lvl = static_cast<std::size_t>(home_level);
   HMR_CHECK_MSG(used_[lvl] + bytes <= tiers_[lvl].capacity,
                 "home_level placement overcommits the level");
-  BlockRec rec;
-  rec.bytes = bytes;
-  rec.level = home_level;
+  new_block(b, bytes).level = home_level;
   used_[lvl] += bytes;
-  blocks_.emplace(b, rec);
   // Parked refcount-0 resident of a middle level: joins that level's
   // LRU so watermark trims and the demotion cascade can see it.
   mid_touch(b);
@@ -277,7 +314,7 @@ void PolicyEngine::remove_block(BlockId b) {
   used_[lvl] -= br.bytes;
   lru_unlink(b);
   mid_unlink(b, br);
-  blocks_.erase(b);
+  br = BlockRec{};
 }
 
 std::uint64_t PolicyEngine::admission_bytes(const TaskRec& tr,
@@ -307,16 +344,14 @@ std::uint64_t PolicyEngine::admission_bytes(const TaskRec& tr,
 bool PolicyEngine::can_admit(const TaskRec& tr) const {
   bool admissible = true;
   const std::uint64_t extra = admission_bytes(tr, &admissible);
-  if (!admissible) return false;
-  return used_[0] + extra <= cfg_.fast_capacity;
+  return admissible && fits(extra);
 }
 
-bool PolicyEngine::within_fair_share(const TaskRec& tr) const {
+bool PolicyEngine::within_fair_share(const TaskRec& tr,
+                                     std::uint64_t extra) const {
   if (!cfg_.fair_admission) return true;
   const auto pe = static_cast<std::size_t>(tr.desc.pe);
   if (pe_claims_[pe] == 0) return true; // progress guarantee
-  bool admissible = true;
-  const std::uint64_t extra = admission_bytes(tr, &admissible);
   const std::uint64_t share =
       cfg_.fast_capacity / static_cast<std::uint64_t>(cfg_.num_pes);
   return pe_claims_[pe] + extra <= share;
@@ -358,9 +393,9 @@ void PolicyEngine::mid_unlink(BlockId b, BlockRec& br) {
   br.in_mid = false;
 }
 
-void PolicyEngine::admit(TaskId t, std::int32_t fetch_agent,
+void PolicyEngine::admit(TaskRec& tr, std::int32_t fetch_agent,
                          std::vector<Command>& cmds) {
-  TaskRec& tr = task(t);
+  const TaskId t = tr.desc.id;
   HMR_DCHECK(tr.state == TaskState::Waiting);
   tr.missing = 0;
   tr.claim_bytes = 0;
@@ -426,16 +461,15 @@ void PolicyEngine::admit(TaskId t, std::int32_t fetch_agent,
   tr.state = TaskState::Admitted;
   ++n_live_tasks_;
   pe_claims_[static_cast<std::size_t>(tr.desc.pe)] += tr.claim_bytes;
-  if (tr.missing == 0) mark_ready(t, cmds);
+  if (tr.missing == 0) mark_ready(tr, cmds);
 }
 
-void PolicyEngine::mark_ready(TaskId t, std::vector<Command>& cmds) {
-  TaskRec& tr = task(t);
+void PolicyEngine::mark_ready(TaskRec& tr, std::vector<Command>& cmds) {
   HMR_DCHECK(tr.state == TaskState::Admitted);
   tr.state = TaskState::Ready;
   Command c;
   c.kind = Command::Kind::Run;
-  c.task = t;
+  c.task = tr.desc.id;
   c.pe = tr.desc.pe;
   cmds.push_back(c);
 }
@@ -579,16 +613,15 @@ void PolicyEngine::io_step_single(std::vector<Command>& cmds) {
       auto& q = wait_q_[pe];
       if (q.empty()) continue;
       TaskRec& head = task(q.front());
-      if (can_admit(head)) {
-        const TaskId t = q.front();
+      bool adm = true;
+      const std::uint64_t extra = admission_bytes(head, &adm);
+      if (adm && fits(extra)) {
         q.pop_front();
         --n_waiting_;
-        admit(t, /*fetch_agent=*/0, cmds);
+        admit(head, /*fetch_agent=*/0, cmds);
         progressed = true;
       } else if (lru_enabled()) {
-        bool adm = true;
-        const std::uint64_t extra = admission_bytes(head, &adm);
-        if (adm && used_[0] + extra > cfg_.fast_capacity) {
+        if (adm) {
           const std::uint64_t deficit =
               used_[0] + extra - cfg_.fast_capacity;
           evict_cause_ = q.front(); // reclaiming on behalf of the head
@@ -610,17 +643,16 @@ void PolicyEngine::io_step_multi(std::int32_t agent,
   auto& q = wait_q_[static_cast<std::size_t>(agent)];
   while (!q.empty()) {
     TaskRec& head = task(q.front());
-    if (can_admit(head) && within_fair_share(head)) {
-      const TaskId t = q.front();
+    bool adm = true;
+    const std::uint64_t extra = admission_bytes(head, &adm);
+    if (adm && fits(extra) && within_fair_share(head, extra)) {
       q.pop_front();
       --n_waiting_;
-      admit(t, agent, cmds);
+      admit(head, agent, cmds);
       continue;
     }
     if (lru_enabled()) {
-      bool adm = true;
-      const std::uint64_t extra = admission_bytes(head, &adm);
-      if (adm && used_[0] + extra > cfg_.fast_capacity) {
+      if (adm && !fits(extra)) {
         const std::uint64_t deficit =
             used_[0] + extra - cfg_.fast_capacity;
         evict_cause_ = q.front(); // reclaiming on behalf of the head
@@ -639,17 +671,16 @@ void PolicyEngine::io_step_sync(std::int32_t pe, std::vector<Command>& cmds) {
   auto& q = wait_q_[static_cast<std::size_t>(pe)];
   while (!q.empty()) {
     TaskRec& head = task(q.front());
-    if (can_admit(head) && within_fair_share(head)) {
-      const TaskId t = q.front();
+    bool adm = true;
+    const std::uint64_t extra = admission_bytes(head, &adm);
+    if (adm && fits(extra) && within_fair_share(head, extra)) {
       q.pop_front();
       --n_waiting_;
-      admit(t, kWorkerInline, cmds);
+      admit(head, kWorkerInline, cmds);
       continue;
     }
     if (lru_enabled()) {
-      bool adm = true;
-      const std::uint64_t extra = admission_bytes(head, &adm);
-      if (adm && used_[0] + extra > cfg_.fast_capacity) {
+      if (adm && !fits(extra)) {
         const std::uint64_t deficit =
             used_[0] + extra - cfg_.fast_capacity;
         evict_cause_ = q.front(); // reclaiming on behalf of the head
@@ -661,13 +692,13 @@ void PolicyEngine::io_step_sync(std::int32_t pe, std::vector<Command>& cmds) {
   }
 }
 
-std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
+void PolicyEngine::handle_arrival(TaskDesc desc, std::vector<Command>& cmds) {
   HMR_CHECK_MSG(desc.id != kInvalidTask, "task needs a valid id");
   HMR_CHECK_MSG(desc.pe >= 0 && desc.pe < cfg_.num_pes,
                 "task pe out of range");
-  HMR_CHECK_MSG(tasks_.find(desc.id) == tasks_.end(), "duplicate task id");
+  TaskRec& tr = new_task(desc.id);
   for (std::size_t i = 0; i < desc.deps.size(); ++i) {
-    HMR_CHECK_MSG(blocks_.find(desc.deps[i].block) != blocks_.end(),
+    HMR_CHECK_MSG(has_block(desc.deps[i].block),
                   "task depends on an unregistered block");
     for (std::size_t j = i + 1; j < desc.deps.size(); ++j) {
       HMR_CHECK_MSG(desc.deps[i].block != desc.deps[j].block,
@@ -675,24 +706,22 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
     }
   }
 
-  std::vector<Command> cmds;
-  TaskRec rec;
-  rec.desc = desc;
-  auto [it, inserted] = tasks_.emplace(desc.id, std::move(rec));
-  (void)inserted;
-  TaskRec& tr = it->second;
+  const TaskId id = desc.id;
+  const std::int32_t pe = desc.pe;
+  const bool prefetch = desc.prefetch;
+  tr.desc = std::move(desc);
 
-  if (!desc.prefetch || !strategy_moves_data(cfg_.strategy)) {
+  if (!prefetch || !strategy_moves_data(cfg_.strategy)) {
     // Non-annotated entry methods, and the static-placement baselines:
     // the converse scheduler delivers the message directly.
     tr.state = TaskState::Ready;
     ++n_live_tasks_;
     Command c;
     c.kind = Command::Kind::Run;
-    c.task = desc.id;
-    c.pe = desc.pe;
+    c.task = id;
+    c.pe = pe;
     cmds.push_back(c);
-    return cmds;
+    return;
   }
 
   switch (cfg_.strategy) {
@@ -702,9 +731,9 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
           used_[0] <= cfg_.fast_capacity) {
         // Paper fast path: all dependences already INHBM -> straight
         // to the run queue without bothering the IO thread.
-        admit(desc.id, /*fetch_agent=*/0, cmds);
+        admit(tr, /*fetch_agent=*/0, cmds);
       } else {
-        wait_q_[static_cast<std::size_t>(desc.pe)].push_back(desc.id);
+        wait_q_[static_cast<std::size_t>(pe)].push_back(id);
         ++n_waiting_;
         io_step_single(cmds); // the worker signals the IO thread
       }
@@ -713,24 +742,26 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
     case Strategy::MultiIo: {
       bool adm = true;
       if (admission_bytes(tr, &adm) == 0 && adm) {
-        admit(desc.id, desc.pe, cmds);
+        admit(tr, pe, cmds);
       } else {
         // Paper: the task "simply adds itself to the corresponding
         // PE's wait queue" and wakes that PE's IO thread.
-        wait_q_[static_cast<std::size_t>(desc.pe)].push_back(desc.id);
+        wait_q_[static_cast<std::size_t>(pe)].push_back(id);
         ++n_waiting_;
-        io_step_multi(desc.pe, cmds);
+        io_step_multi(pe, cmds);
       }
       break;
     }
     case Strategy::SyncNoIo: {
-      auto& q = wait_q_[static_cast<std::size_t>(desc.pe)];
-      if (q.empty() && can_admit(tr) && within_fair_share(tr)) {
-        admit(desc.id, kWorkerInline, cmds);
+      auto& q = wait_q_[static_cast<std::size_t>(pe)];
+      bool adm = true;
+      const std::uint64_t extra = admission_bytes(tr, &adm);
+      if (q.empty() && adm && fits(extra) && within_fair_share(tr, extra)) {
+        admit(tr, kWorkerInline, cmds);
       } else {
-        q.push_back(desc.id);
+        q.push_back(id);
         ++n_waiting_;
-        if (lru_enabled()) io_step_sync(desc.pe, cmds);
+        if (lru_enabled()) io_step_sync(pe, cmds);
       }
       break;
     }
@@ -738,10 +769,10 @@ std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& desc) {
       HMR_CHECK_MSG(false, "unreachable strategy");
   }
   check_progress();
-  return cmds;
 }
 
-std::vector<Command> PolicyEngine::on_fetch_complete(BlockId b) {
+void PolicyEngine::handle_fetch_complete(BlockId b,
+                                         std::vector<Command>& cmds) {
   BlockRec& br = block(b);
   HMR_CHECK_MSG(br.from_level >= 0 && br.level == 0,
                 "fetch completion for a block not being fetched");
@@ -751,17 +782,16 @@ std::vector<Command> PolicyEngine::on_fetch_complete(BlockId b) {
   used_[src] -= br.bytes; // the source copy is released on landing
   outbound_[src] -= br.bytes;
   --n_inflight_fetch_;
-  std::vector<Command> cmds;
   for (const TaskId t : br.fetch_waiters) {
     TaskRec& tr = task(t);
     HMR_DCHECK(tr.missing > 0);
-    if (--tr.missing == 0) mark_ready(t, cmds);
+    if (--tr.missing == 0) mark_ready(tr, cmds);
   }
   br.fetch_waiters.clear();
-  return cmds;
 }
 
-std::vector<Command> PolicyEngine::on_evict_complete(BlockId b) {
+void PolicyEngine::handle_evict_complete(BlockId b,
+                                         std::vector<Command>& cmds) {
   BlockRec& br = block(b);
   HMR_CHECK_MSG(br.from_level >= 0 && br.level > 0,
                 "evict completion for a block not being evicted");
@@ -778,7 +808,6 @@ std::vector<Command> PolicyEngine::on_evict_complete(BlockId b) {
   // Freed capacity can unblock any PE's queue head — and a block that
   // just landed on a middle level is promotable again, so every
   // landing (bottom or middle) retries the queues.
-  std::vector<Command> cmds;
   switch (cfg_.strategy) {
     case Strategy::SingleIo:
       io_step_single(cmds);
@@ -801,16 +830,17 @@ std::vector<Command> PolicyEngine::on_evict_complete(BlockId b) {
       break; // static strategies never evict
   }
   check_progress();
-  return cmds;
 }
 
-std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
-  // A completed task's record is dropped here: ids are unique among
-  // live tasks only, and the map holds no history.
+void PolicyEngine::handle_task_complete(TaskId t,
+                                        std::vector<Command>& cmds) {
+  // A completed task's record leaves the map here: ids are unique
+  // among live tasks only, and the map holds no history.  Its node is
+  // kept for the next arrival (new_task).
   auto it = tasks_.find(t);
   HMR_CHECK_MSG(it != tasks_.end(), "unknown task id");
-  const TaskRec tr = std::move(it->second);
-  tasks_.erase(it);
+  spare_tasks_.push_back(tasks_.extract(it));
+  const TaskRec& tr = spare_tasks_.back().mapped();
   HMR_CHECK_MSG(tr.state == TaskState::Ready,
                 "completion for a task that was never made runnable");
   HMR_DCHECK(n_live_tasks_ > 0);
@@ -822,9 +852,8 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
     pc -= tr.claim_bytes;
   }
 
-  std::vector<Command> cmds;
   if (!tr.desc.prefetch || !strategy_moves_data(cfg_.strategy)) {
-    return cmds; // static strategies: no claims were taken
+    return; // static strategies: no claims were taken
   }
 
   // Post-processing: release claims; blocks that drop to refcount 0
@@ -910,7 +939,6 @@ std::vector<Command> PolicyEngine::on_task_complete(TaskId t) {
       break;
   }
   check_progress();
-  return cmds;
 }
 
 void PolicyEngine::set_advisor(const AdviceProvider* advisor) {
@@ -984,7 +1012,8 @@ void PolicyEngine::debug_dump(std::FILE* out) const {
   std::size_t resident0 = 0;
   std::uint64_t resident0_bytes = 0;
   std::size_t by_state[4] = {0, 0, 0, 0};
-  for (const auto& [id, br] : blocks_) {
+  for (const BlockRec& br : blocks_) {
+    if (!br.live) continue;
     const BlockState st = state_of(br);
     ++by_state[static_cast<int>(st)];
     if (st == BlockState::InFast && br.refcount == 0) {
@@ -1008,7 +1037,7 @@ void PolicyEngine::debug_dump(std::FILE* out) const {
                  "can_admit=%d fair=%d claims=%llu\n",
                  pe, wait_q_[pe].size(),
                  static_cast<unsigned long long>(extra), adm,
-                 can_admit(it->second), within_fair_share(it->second),
+                 can_admit(it->second), within_fair_share(it->second, extra),
                  static_cast<unsigned long long>(pe_claims_[pe]));
     if (pe > 4) break;
   }
@@ -1049,10 +1078,19 @@ std::vector<std::string> PolicyEngine::audit_invariants(
   std::uint64_t want_lru_bytes = 0;
   std::size_t want_lru_count = 0, want_mid_count = 0;
   std::size_t want_fetch = 0, want_evict = 0;
-  std::unordered_map<BlockId, std::uint32_t> want_ref;
-  std::unordered_map<BlockId, std::uint32_t> want_slow;
+  std::vector<std::uint32_t> want_ref(blocks_.size(), 0);
+  std::vector<std::uint32_t> want_slow(blocks_.size(), 0);
 
-  for (const auto& [id, br] : blocks_) {
+  for (BlockId id = 0; id < blocks_.size(); ++id) {
+    const BlockRec& br = blocks_[id];
+    if (!br.live) {
+      if (br.refcount != 0 || br.slow_claims != 0 || br.in_lru ||
+          br.in_mid || !br.fetch_waiters.empty()) {
+        fail("block " + std::to_string(id) +
+             ": unregistered slot carries state");
+      }
+      continue;
+    }
     const std::string tag = "block " + std::to_string(id) + ": ";
     if (br.level < 0 || br.level >= static_cast<std::int32_t>(levels) ||
         br.from_level < -1 ||
@@ -1120,10 +1158,21 @@ std::vector<std::string> PolicyEngine::audit_invariants(
     if (!tr.desc.prefetch || !strategy_moves_data(cfg_.strategy)) {
       continue;
     }
-    for (const Dep& d : tr.desc.deps) ++want_ref[d.block];
-    for (const BlockId b : tr.bypassed) ++want_slow[b];
+    for (const Dep& d : tr.desc.deps) {
+      if (has_block(d.block)) {
+        ++want_ref[d.block];
+      } else {
+        fail("task " + std::to_string(id) +
+             ": depends on unregistered block " + std::to_string(d.block));
+      }
+    }
+    for (const BlockId b : tr.bypassed) {
+      if (has_block(b)) ++want_slow[b];
+    }
   }
-  for (const auto& [id, br] : blocks_) {
+  for (BlockId id = 0; id < blocks_.size(); ++id) {
+    const BlockRec& br = blocks_[id];
+    if (!br.live) continue;
     for (const TaskId t : br.fetch_waiters) {
       auto it = tasks_.find(t);
       if (it == tasks_.end() ||
@@ -1132,15 +1181,13 @@ std::vector<std::string> PolicyEngine::audit_invariants(
              ": waiter task " + std::to_string(t) + " is not admitted");
       }
     }
-    const auto ref = want_ref.find(id);
-    const std::uint32_t wr = ref == want_ref.end() ? 0 : ref->second;
+    const std::uint32_t wr = want_ref[id];
     if (br.refcount != wr) {
       fail("block " + std::to_string(id) + ": refcount " +
            std::to_string(br.refcount) + " but live tasks reference it " +
            std::to_string(wr) + "x");
     }
-    const auto slow = want_slow.find(id);
-    const std::uint32_t ws = slow == want_slow.end() ? 0 : slow->second;
+    const std::uint32_t ws = want_slow[id];
     if (br.slow_claims != ws) {
       fail("block " + std::to_string(id) + ": slow_claims " +
            std::to_string(br.slow_claims) + " != " + std::to_string(ws) +
@@ -1151,9 +1198,8 @@ std::vector<std::string> PolicyEngine::audit_invariants(
     if (tr.state != TaskState::Admitted) continue;
     std::uint32_t waits = 0;
     for (const Dep& d : tr.desc.deps) {
-      const auto it = blocks_.find(d.block);
-      if (it == blocks_.end()) continue;
-      for (const TaskId t : it->second.fetch_waiters) {
+      if (!has_block(d.block)) continue;
+      for (const TaskId t : blocks_[d.block].fetch_waiters) {
         if (t == id) ++waits;
       }
     }

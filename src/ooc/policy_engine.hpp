@@ -40,6 +40,18 @@
 //    EvictInFlight — capacity is released only when an eviction has
 //    finished, mirroring when numa_free actually returns the bytes.
 //
+// Event cost: the rt executor calls step_batch under its one engine
+// mutex, so every nanosecond spent here is held lock time.  Block
+// records live in a dense table indexed by BlockId (both executors
+// number blocks 0, 1, 2, ...; a `live` flag marks registered ids), the
+// four event handlers append to one caller-owned command vector (a
+// batch allocates one vector, not one per event), and an arrival's
+// TaskDesc is moved into its task record.  Task records stay in a
+// hash map — rt task ids grow without bound over a run — whose nodes
+// are recycled from completed tasks; a queued head's admission bytes
+// are computed once per visit, and records are passed by reference
+// rather than looked up again by id.
+//
 // Thread safety: none.  Callers serialize (the rt executor wraps every
 // call in one mutex; the DES is single-threaded).
 
@@ -108,6 +120,11 @@ public:
   /// Historical name for the shared counter struct (ooc/types.hpp).
   using Stats = EngineStats;
 
+  /// Growth bound of the dense block table: registering an id more
+  /// than this far past the table's end is a caller bug (a stray or
+  /// uninitialized id), not a reason to allocate gigabytes.
+  static constexpr BlockId kMaxBlockIdGap = BlockId{1} << 20;
+
   /// One engine event, reified so executors can hand the engine a
   /// whole batch under a single lock acquisition (the threaded
   /// runtime's IO/PE loops drain queues in batches; the DES keeps
@@ -140,6 +157,8 @@ public:
   /// placed on (strategy-dependent: movement strategies start
   /// everything on the bottom level; Naive packs the bounded levels
   /// first-fit in speed order; HbmOnly requires it to fit on level 0).
+  /// Ids index a dense table: gaps are allowed, but an id may lie at
+  /// most kMaxBlockIdGap past the table's current end.
   TierId add_block(BlockId b, std::uint64_t bytes) override;
 
   /// Register a block with an explicit home: under a movement
@@ -182,7 +201,8 @@ public:
   /// Process a batch of events in order, concatenating the resulting
   /// commands.  Exactly equivalent to calling the per-event entry
   /// points one by one; exists so a threaded executor can amortize one
-  /// engine-lock acquisition over the whole batch.
+  /// engine-lock acquisition over the whole batch.  Arrivals' task
+  /// descriptors are moved out of `events`.
   std::vector<Command> step_batch(std::vector<Event> events);
 
   // ---- online reconfiguration (adaptive governor) ----
@@ -288,6 +308,7 @@ private:
     /// (the executors' migration would free the copy being read), so
     /// later admissions are forced onto the bypass path too.
     std::uint32_t slow_claims = 0;
+    bool live = false; // registered (dense-table slot in use)
   };
 
   struct TaskRec {
@@ -300,7 +321,25 @@ private:
 
   BlockRec& block(BlockId b);
   const BlockRec& block(BlockId b) const;
+  bool has_block(BlockId b) const {
+    return b < blocks_.size() && blocks_[b].live;
+  }
   TaskRec& task(TaskId t);
+
+  /// Insert the record of an arriving task (reusing a spare node when
+  /// one is kept); dies on a duplicate live id.
+  TaskRec& new_task(TaskId t);
+
+  /// Claim the dense-table slot for a new block (bounded growth, no
+  /// duplicates) and record its size; placement is the caller's.
+  BlockRec& new_block(BlockId b, std::uint64_t bytes);
+
+  // The event handlers behind the public entry points and step_batch:
+  // each appends its commands to `cmds`.
+  void handle_arrival(TaskDesc desc, std::vector<Command>& cmds);
+  void handle_fetch_complete(BlockId b, std::vector<Command>& cmds);
+  void handle_evict_complete(BlockId b, std::vector<Command>& cmds);
+  void handle_task_complete(TaskId t, std::vector<Command>& cmds);
 
   /// The old four-state view of a block, derived from level/from_level.
   static BlockState state_of(const BlockRec& br) {
@@ -340,14 +379,20 @@ private:
 
   bool can_admit(const TaskRec& tr) const;
 
+  /// `extra` admission bytes fit the level-0 budget.
+  bool fits(std::uint64_t extra) const {
+    return used_[0] + extra <= cfg_.fast_capacity;
+  }
+
   /// Fair-admission gate for the per-PE drains (MultiIo / SyncNoIo).
-  bool within_fair_share(const TaskRec& tr) const;
+  /// `extra` = admission_bytes(tr) of an admissible task.
+  bool within_fair_share(const TaskRec& tr, std::uint64_t extra) const;
 
   /// Claim deps, plan fetches, emit Run when already resident.
-  void admit(TaskId t, std::int32_t fetch_agent,
+  void admit(TaskRec& tr, std::int32_t fetch_agent,
              std::vector<Command>& cmds);
 
-  void mark_ready(TaskId t, std::vector<Command>& cmds);
+  void mark_ready(TaskRec& tr, std::vector<Command>& cmds);
 
   /// Drain admissible tasks.  SingleIo: round-robin one task per PE
   /// queue per pass over all queues.  MultiIo: drain agent's own queue.
@@ -399,8 +444,13 @@ private:
   bool base_evict_by_worker_ = false; // Config value before strategy
                                       // overrides (restored on switch)
   std::vector<TierDesc> tiers_; // resolved hierarchy (>= 2 levels)
-  std::unordered_map<BlockId, BlockRec> blocks_;
+  /// Indexed by BlockId; records of unregistered ids have live=false.
+  std::vector<BlockRec> blocks_;
   std::unordered_map<TaskId, TaskRec> tasks_;
+  /// Map nodes of completed tasks, reused by later arrivals so the
+  /// steady state allocates no node per task; never more than the
+  /// peak number of live task records.
+  std::vector<std::unordered_map<TaskId, TaskRec>::node_type> spare_tasks_;
   std::vector<std::deque<TaskId>> wait_q_;
   std::deque<BlockId> lru_; // front = coldest (lazy / pinned parking)
   std::uint64_t lru_bytes_ = 0;

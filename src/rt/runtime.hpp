@@ -24,17 +24,22 @@
 // (engine_mu_).  PE and IO threads amortize that lock by handing the
 // engine whole event batches (PolicyEngine::step_batch): a wakeup's
 // worth of arrivals, completions or finished migrations per
-// acquisition.  An IO wakeup likewise hands every command it drained
-// (up to 16) to one MemoryManager::migrate_batch, which takes the
-// block table's and each tier's lock once per batch instead of once
-// per block.  The clock is read once per batch (the flight recorder's
-// stamp) unless tracing or metrics are on; then each migration's trace
-// interval and latency sample is its own step time plus an equal share
-// of the batch's lock sections, so its intervals tile the batch on the
-// IO lane.  The watchdog's fetch counters are written only when the
-// watchdog is on.  With tenancy on, the events go one at a time
-// through a serve::TenantEngine wrapped around the same engine, still
-// under engine_mu_.
+// acquisition.  A batch holds the lock for a few microseconds (dense
+// block table, one command vector per batch, arrivals moved in), so a
+// thread that finds it taken spins briefly before sleeping
+// (trace::lock_counted) instead of paying a futex wake per visit; the
+// spin is charged to the lock-wait counters.  An IO wakeup likewise
+// hands every command it drained (up to 16) to one
+// MemoryManager::migrate_batch, which takes the block table's and each
+// tier's lock once per batch instead of once per block.  The clock is
+// read once per batch (the flight recorder's stamp) unless tracing or
+// metrics are on; then each migration's trace interval and latency
+// sample is its own step time plus an equal share of the batch's lock
+// sections, so its intervals tile the batch on the IO lane.  The
+// watchdog's fetch counters are written only when the watchdog is on.
+// With tenancy on, the events go one at a time through a
+// serve::TenantEngine wrapped around the same engine, still under
+// engine_mu_.
 //
 // Configuration (Config) is the paper's choices — strategy, eager or
 // lazy eviction, PE count — plus the node model and opt-in telemetry.

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "instant_executor.hpp"
 #include "ooc/policy_engine.hpp"
@@ -416,6 +419,230 @@ TEST(PolicyBatch, StepBatchMatchesPerEventCalls) {
   EXPECT_EQ(stats_a.evicts, stats_b.evicts);
   EXPECT_EQ(stats_a.evict_bytes, stats_b.evict_bytes);
   EXPECT_EQ(stats_a.fetch_dedup_hits, stats_b.fetch_dedup_hits);
+}
+
+// The same comparison for every other event path: the script is
+// generated by executing the commands, round by round.  Each round
+// hands the engine one completion event per command of the previous
+// round, in command order, with the next two arrivals interleaved
+// (one after the first completion, one last) — as one step_batch
+// call, or through the per-event entry points one by one.  Both runs
+// must emit identical command streams and stats and end quiescent and
+// clean.
+struct BatchRun {
+  std::vector<Command> cmds;
+  PolicyEngine::Stats stats;
+};
+
+BatchRun run_rounds(const PolicyEngine::Config& c, bool batched) {
+  PolicyEngine e(c);
+  for (BlockId b = 0; b < 6; ++b) e.add_block(b, 20 + 5 * b);
+  // Eight tasks on two PEs over six blocks: shared deps (dedup, warm
+  // reuse), and more bytes in flight than the top level holds.
+  const std::vector<TaskDesc> tasks = {
+      make_task(1, 0, {{0, AccessMode::ReadWrite}, {1, AccessMode::ReadOnly}}),
+      make_task(2, 1, {{1, AccessMode::ReadOnly}, {2, AccessMode::WriteOnly}}),
+      make_task(3, 0, {{3, AccessMode::ReadWrite}, {4, AccessMode::ReadOnly}}),
+      make_task(4, 1, {{5, AccessMode::ReadWrite}}),
+      make_task(5, 0, {{0, AccessMode::ReadOnly}, {5, AccessMode::ReadOnly}}),
+      make_task(6, 1, {{2, AccessMode::ReadWrite}, {3, AccessMode::ReadOnly}}),
+      make_task(7, 0, {{4, AccessMode::ReadWrite}, {1, AccessMode::ReadOnly}}),
+      make_task(8, 1, {{1, AccessMode::ReadOnly}, {0, AccessMode::ReadWrite}}),
+  };
+  BatchRun out;
+  std::vector<PolicyEngine::Event> pending;
+  std::size_t next = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<PolicyEngine::Event> evs = std::move(pending);
+    pending.clear();
+    if (next < tasks.size()) {
+      const auto at = evs.begin() + (evs.empty() ? 0 : 1);
+      evs.insert(at, PolicyEngine::Event::arrived(tasks[next++]));
+    }
+    if (next < tasks.size()) {
+      evs.push_back(PolicyEngine::Event::arrived(tasks[next++]));
+    }
+    if (evs.empty()) break;
+    std::vector<Command> got;
+    if (batched) {
+      got = e.step_batch(std::move(evs));
+    } else {
+      for (auto& ev : evs) {
+        std::vector<Command> step;
+        switch (ev.kind) {
+          case PolicyEngine::Event::Kind::TaskArrived:
+            step = e.on_task_arrived(ev.task);
+            break;
+          case PolicyEngine::Event::Kind::FetchComplete:
+            step = e.on_fetch_complete(ev.block);
+            break;
+          case PolicyEngine::Event::Kind::EvictComplete:
+            step = e.on_evict_complete(ev.block);
+            break;
+          case PolicyEngine::Event::Kind::TaskComplete:
+            step = e.on_task_complete(ev.task_id);
+            break;
+        }
+        got.insert(got.end(), step.begin(), step.end());
+      }
+    }
+    for (const Command& cmd : got) {
+      switch (cmd.kind) {
+        case Command::Kind::Fetch:
+          pending.push_back(PolicyEngine::Event::fetched(cmd.block));
+          break;
+        case Command::Kind::Evict:
+          pending.push_back(PolicyEngine::Event::evicted(cmd.block));
+          break;
+        case Command::Kind::Run:
+          pending.push_back(PolicyEngine::Event::completed(cmd.task));
+          break;
+      }
+    }
+    out.cmds.insert(out.cmds.end(), got.begin(), got.end());
+  }
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(e.stats().tasks_run, tasks.size());
+  EXPECT_TRUE(e.quiescent());
+  const auto audit = e.audit_invariants(/*at_quiescence=*/true);
+  EXPECT_TRUE(audit.empty()) << audit.front();
+  out.stats = e.stats();
+  return out;
+}
+
+TEST(PolicyBatch, StepBatchMatchesPerEventCallsOnEveryPath) {
+  std::vector<std::pair<std::string, PolicyEngine::Config>> configs;
+  configs.emplace_back("SingleIo", cfg(Strategy::SingleIo, 120));
+  configs.emplace_back("SyncNoIo", cfg(Strategy::SyncNoIo, 120));
+  configs.emplace_back("MultiIo", cfg(Strategy::MultiIo, 120));
+  auto lazy = cfg(Strategy::MultiIo, 120);
+  lazy.eager_evict = false;
+  configs.emplace_back("MultiIo_lazy", lazy);
+  auto nocopy = cfg(Strategy::SingleIo, 120);
+  nocopy.writeonly_nocopy = true;
+  nocopy.eager_evict = false;
+  configs.emplace_back("SingleIo_lazy_nocopy", nocopy);
+  // Three levels, distinctive tier ids: top 120 B, a middle level of
+  // 80 B trimmed at half, unbounded bottom.
+  auto cascade = cfg(Strategy::MultiIo, 0);
+  cascade.tiers = {{7, 120, 1.0}, {5, 80, 0.5}, {3, 0, 1.0}};
+  configs.emplace_back("MultiIo_cascade", cascade);
+  for (const auto& [name, c] : configs) {
+    SCOPED_TRACE(name);
+    const BatchRun a = run_rounds(c, /*batched=*/false);
+    const BatchRun b = run_rounds(c, /*batched=*/true);
+    ASSERT_EQ(a.cmds.size(), b.cmds.size());
+    for (std::size_t i = 0; i < a.cmds.size(); ++i) {
+      EXPECT_EQ(a.cmds[i].kind, b.cmds[i].kind) << i;
+      EXPECT_EQ(a.cmds[i].block, b.cmds[i].block) << i;
+      EXPECT_EQ(a.cmds[i].task, b.cmds[i].task) << i;
+      EXPECT_EQ(a.cmds[i].agent, b.cmds[i].agent) << i;
+      EXPECT_EQ(a.cmds[i].pe, b.cmds[i].pe) << i;
+      EXPECT_EQ(a.cmds[i].nocopy, b.cmds[i].nocopy) << i;
+      EXPECT_EQ(a.cmds[i].src_tier, b.cmds[i].src_tier) << i;
+      EXPECT_EQ(a.cmds[i].dst_tier, b.cmds[i].dst_tier) << i;
+    }
+    EXPECT_EQ(a.stats.tasks_run, b.stats.tasks_run);
+    EXPECT_EQ(a.stats.fetches, b.stats.fetches);
+    EXPECT_EQ(a.stats.fetch_bytes, b.stats.fetch_bytes);
+    EXPECT_EQ(a.stats.evicts, b.stats.evicts);
+    EXPECT_EQ(a.stats.evict_bytes, b.stats.evict_bytes);
+    EXPECT_EQ(a.stats.fetch_dedup_hits, b.stats.fetch_dedup_hits);
+    EXPECT_EQ(a.stats.lru_reclaims, b.stats.lru_reclaims);
+    EXPECT_EQ(a.stats.cascade_demotions, b.stats.cascade_demotions);
+    EXPECT_EQ(a.stats.tier_trims, b.stats.tier_trims);
+    // The script reaches the paths it is meant to compare.
+    EXPECT_GT(a.stats.evicts, 0u);
+    EXPECT_GT(a.stats.fetch_dedup_hits, 0u);
+    if (name == "MultiIo_cascade") {
+      EXPECT_GT(a.stats.tier_trims, 0u);
+    }
+  }
+}
+
+// ---------- dense block table ----------
+
+// Block records are a table indexed by id with a live flag per slot:
+// ids may leave gaps, a removed id may be registered again, and a
+// lookup of any id that is not registered — a gap, a removed slot or
+// past the table's end — dies like an unknown id always did.
+TEST(PolicyBlockTable, GapsInIdsWork) {
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(5, 30);
+  e.add_block(2, 20);
+  e.add_block(9, 10);
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+  InstantExecutor x(e);
+  x.arrive(make_task(1, 0, {{5, AccessMode::ReadWrite},
+                            {9, AccessMode::ReadOnly}}));
+  x.arrive(make_task(2, 1, {{2, AccessMode::ReadWrite}}));
+  EXPECT_EQ(x.run_order, (std::vector<TaskId>{1, 2}));
+  EXPECT_EQ(e.stats().fetch_bytes, 60u);
+  EXPECT_EQ(e.block_state(5), BlockState::InSlow);
+  EXPECT_TRUE(e.quiescent());
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+}
+
+TEST(PolicyBlockTable, RemovedIdMayBeRegisteredAgain) {
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(0, 40);
+  e.add_block(1, 40);
+  InstantExecutor x(e);
+  x.arrive(make_task(1, 0, {{1, AccessMode::ReadWrite}}));
+  e.remove_block(1);
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+  EXPECT_EQ(e.tier_used(1), 40u); // only block 0 left on the bottom
+  // The id comes back with a new size and a clean record.
+  e.add_block(1, 70);
+  EXPECT_EQ(e.block_state(1), BlockState::InSlow);
+  EXPECT_EQ(e.refcount(1), 0u);
+  x.arrive(make_task(2, 1, {{1, AccessMode::ReadWrite}}));
+  EXPECT_EQ(e.stats().fetch_bytes, 40u + 70u);
+  EXPECT_EQ(x.run_order, (std::vector<TaskId>{1, 2}));
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+}
+
+TEST(PolicyBlockTable, LookupPastTheEndDies) {
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(0, 10);
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+  EXPECT_DEATH((void)e.block_state(1), "unknown block id");
+  EXPECT_DEATH((void)e.refcount(mem::kInvalidBlock), "unknown block id");
+  EXPECT_DEATH({ auto c = e.on_fetch_complete(3); (void)c; },
+               "unknown block id");
+}
+
+TEST(PolicyBlockTable, LookupOfAGapDies) {
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(0, 10);
+  e.add_block(4, 10);
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
+  EXPECT_DEATH((void)e.block_state(2), "unknown block id");
+  EXPECT_DEATH(e.remove_block(3), "unknown block id");
+  EXPECT_DEATH(
+      {
+        auto c =
+            e.on_task_arrived(make_task(1, 0, {{2, AccessMode::ReadOnly}}));
+        (void)c;
+      },
+      "unregistered block");
+}
+
+TEST(PolicyBlockTable, DuplicateIdDies) {
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(3, 10);
+  EXPECT_DEATH(e.add_block(3, 10), "duplicate block id");
+}
+
+TEST(PolicyBlockTable, AbsurdIdDies) {
+  // Growth is bounded: an id far past the table is a stray value, not
+  // a request for a multi-gigabyte table.
+  PolicyEngine e(cfg(Strategy::MultiIo, 100));
+  e.add_block(0, 10);
+  EXPECT_DEATH(e.add_block(mem::kInvalidBlock - 1, 10), "too far past");
+  EXPECT_DEATH(e.add_block(1 + PolicyEngine::kMaxBlockIdGap, 10),
+               "too far past");
+  EXPECT_TRUE(e.audit_invariants(/*at_quiescence=*/true).empty());
 }
 
 // ---------- task lifecycle ----------
