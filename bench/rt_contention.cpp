@@ -4,8 +4,9 @@
 // Two questions, answered on this host:
 //   1. What does the scheduler hot path cost?  A fine-grained MultiIo
 //      workload runs against the runtime (one policy engine under one
-//      mutex, batched event delivery).  Reported: tasks/sec and the
-//      fraction of thread-seconds spent blocked on the engine lock.
+//      mutex, batched event delivery).  Reported: tasks/sec (median
+//      and quartiles of --sched-reps runs) and the fraction of
+//      thread-seconds spent blocked on the engine lock.
 //   2. What does chunking a large migration buy?  One big block is
 //      copied tier-to-tier monolithically vs through the ChunkRing
 //      with helper threads assisting, reporting GB/s and how many
@@ -50,6 +51,12 @@ struct RunResult {
   std::string name;
   double wall_s = 0;
   double tasks_per_sec = 0;
+  // Over the configuration's --sched-reps runs: tasks_per_sec is their
+  // median, q1/q3 their quartiles; every other field is the run at the
+  // median (the lower middle one for an even count).
+  double tasks_per_sec_q1 = 0;
+  double tasks_per_sec_q3 = 0;
+  std::int64_t reps = 1;
   std::uint64_t tasks = 0;
   std::uint64_t fetches = 0;
   std::uint64_t evicts = 0;
@@ -83,8 +90,9 @@ struct BenchCfg {
   // enough that the copies themselves are a minor cost: wall time is
   // scheduler bookkeeping, which is what this bench isolates.
   std::uint64_t fast_kib = 256;
-  // Best-of-N per configuration: thread scheduling on a shared or
-  // oversubscribed host adds multi-10% run-to-run noise.
+  // Runs per configuration, reported as median and quartiles: thread
+  // scheduling on a shared or oversubscribed host adds multi-10%
+  // run-to-run noise, which a best-of-N would hide.
   std::int64_t sched_reps = 3;
   bool evict_by_worker = false;
   bool pin = false; // pin PEs + IO siblings to cores (Linux only)
@@ -164,14 +172,36 @@ RunResult run_config(const std::string& name, const BenchCfg& bc) {
   return res;
 }
 
-/// Best tasks/sec over bc.sched_reps runs of one configuration.
-RunResult run_config_best(const std::string& name, const BenchCfg& bc) {
-  RunResult best;
-  for (std::int64_t i = 0; i < bc.sched_reps; ++i) {
-    RunResult r = run_config(name, bc);
-    if (i == 0 || r.tasks_per_sec > best.tasks_per_sec) best = r;
+/// Percentile `q` (0-100) of ascending `v`, linearly interpolated
+/// (hmr::percentile's nearest rank would report the median as q1 at
+/// the default 3 runs).
+double percentile_sorted(const std::vector<double>& v, double q) {
+  const double pos = q / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// bc.sched_reps runs of one configuration: the median run, with the
+/// median and quartiles of tasks/sec over all of them.
+RunResult run_config_median(const std::string& name, const BenchCfg& bc) {
+  std::vector<RunResult> runs;
+  for (std::int64_t i = 0; i < std::max<std::int64_t>(1, bc.sched_reps);
+       ++i) {
+    runs.push_back(run_config(name, bc));
   }
-  return best;
+  std::sort(runs.begin(), runs.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.tasks_per_sec < b.tasks_per_sec;
+            });
+  std::vector<double> tps;
+  for (const RunResult& r : runs) tps.push_back(r.tasks_per_sec);
+  RunResult med = runs[(runs.size() - 1) / 2];
+  med.tasks_per_sec = percentile_sorted(tps, 50);
+  med.tasks_per_sec_q1 = percentile_sorted(tps, 25);
+  med.tasks_per_sec_q3 = percentile_sorted(tps, 75);
+  med.reps = static_cast<std::int64_t>(runs.size());
+  return med;
 }
 
 struct MigrateResultRow {
@@ -332,10 +362,12 @@ int check_counters(const BenchCfg& bc, const RunResult& r,
 
 void print_result(const RunResult& r) {
   std::printf(
-      "%-16s %9.0f tasks/s  wall %6.3fs  fetches %llu  evicts %llu\n"
+      "%-16s %9.0f tasks/s median of %lld [IQR %.0f-%.0f]  wall %6.3fs  "
+      "fetches %llu  evicts %llu\n"
       "%-16s locks: %llu acquisitions, %llu contended, wait %.4fs "
       "(%.1f%% of thread-time)  ctx-switches %llu\n",
-      r.name.c_str(), r.tasks_per_sec, r.wall_s,
+      r.name.c_str(), r.tasks_per_sec, static_cast<long long>(r.reps),
+      r.tasks_per_sec_q1, r.tasks_per_sec_q3, r.wall_s,
       static_cast<unsigned long long>(r.fetches),
       static_cast<unsigned long long>(r.evicts), "",
       static_cast<unsigned long long>(r.lock_acquisitions),
@@ -369,11 +401,15 @@ void write_json(const std::string& path, const BenchCfg& bc,
       "  \"configs\": [\n"
       "    {\"name\": \"%s\", \"wall_s\": %.6f, "
       "\"tasks\": %llu, \"tasks_per_sec\": %.1f, "
+      "\"tasks_per_sec_q1\": %.1f, \"tasks_per_sec_q3\": %.1f, "
+      "\"reps\": %lld, "
       "\"lock_acquisitions\": %llu, \"lock_contended\": %llu, "
       "\"lock_wait_s\": %.6f, \"lock_wait_fraction\": %.6f, "
       "\"ctx_switches\": %llu}\n  ],\n",
       r.name.c_str(), r.wall_s, static_cast<unsigned long long>(r.tasks),
-      r.tasks_per_sec, static_cast<unsigned long long>(r.lock_acquisitions),
+      r.tasks_per_sec, r.tasks_per_sec_q1, r.tasks_per_sec_q3,
+      static_cast<long long>(r.reps),
+      static_cast<unsigned long long>(r.lock_acquisitions),
       static_cast<unsigned long long>(r.lock_contended), r.lock_wait_s,
       r.lock_wait_fraction, static_cast<unsigned long long>(r.ctx_switches));
   std::fprintf(
@@ -412,7 +448,8 @@ int main(int argc, char** argv) {
   ap.add_flag("blocks-per-pe", "private pool size", &bc.blocks_per_pe);
   ap.add_flag("block-bytes", "bytes per block", &bc.block_bytes);
   ap.add_flag("fast-kib", "fast-tier capacity (KiB)", &bc.fast_kib);
-  ap.add_flag("sched-reps", "best-of-N runs per configuration",
+  ap.add_flag("sched-reps",
+              "runs per configuration (median and quartiles reported)",
               &bc.sched_reps);
   ap.add_flag("evict-by-worker", "run evictions inline on the worker",
               &bc.evict_by_worker);
@@ -449,7 +486,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(bc.tasks_per_round),
               static_cast<unsigned long long>(bc.block_bytes >> 10));
 
-  const RunResult run = run_config_best("scheduler", bc);
+  const RunResult run = run_config_median("scheduler", bc);
   print_result(run);
   std::printf("\n");
 

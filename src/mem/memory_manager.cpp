@@ -176,7 +176,7 @@ MigrateResult MemoryManager::migrate(BlockId b, TierId dst,
 }
 
 void MemoryManager::migrate_batch(std::span<const MigrateOp> ops,
-                                  std::span<MigrateResult> out) {
+                                  std::span<MigrateResult> out, bool timed) {
   HMR_CHECK_MSG(out.size() == ops.size(), "one result per migration");
   const std::size_t n = ops.size();
   if (n == 0) return;
@@ -244,20 +244,20 @@ void MemoryManager::migrate_batch(std::span<const MigrateOp> ops,
     }
   }
 
-  run_moves(ops.data(), slots, out.data(), n, /*retry=*/false);
+  run_moves(ops.data(), slots, out.data(), n, /*retry=*/false, timed);
   // Allocations the first pass could not place, now that the batch's
   // sources are back in their tiers (and its retained sources are
   // shadows a reclaim may take), one op at a time.
   for (std::size_t i = 0; i < n; ++i) {
     if (slots[i].step != Step::Retry) continue;
     slots[i].step = Step::Move;
-    run_moves(&ops[i], &slots[i], &out[i], 1, /*retry=*/true);
+    run_moves(&ops[i], &slots[i], &out[i], 1, /*retry=*/true, timed);
   }
 }
 
 void MemoryManager::run_moves(const MigrateOp* ops, Slot* slots,
                               MigrateResult* out, std::size_t n,
-                              bool retry) {
+                              bool retry, bool timed) {
   const auto moving = [&](std::size_t i) {
     return slots[i].step == Step::Move;
   };
@@ -268,10 +268,12 @@ void MemoryManager::run_moves(const MigrateOp* ops, Slot* slots,
   for (std::size_t i = 0; i < n && !any_move; ++i) any_move = moving(i);
 
   if (any_move) {
-    // One clock read per op and step: each read closes the previous
+    // Timed: one clock read per op and step, each closing the previous
     // op's interval, so the step times tile the batch's work.
-    double t = now_s();
-    const auto lap = [&t] {
+    // Untimed: no clock at all, and every step time stays 0.
+    double t = timed ? now_s() : 0;
+    const auto lap = [&t, timed] {
+      if (!timed) return 0.0;
       const double t1 = now_s();
       const double d = t1 - t;
       t = t1;

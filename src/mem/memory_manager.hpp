@@ -17,7 +17,10 @@
 // lock once for all of step 1, no lock for step 2, each source tier's
 // lock once for all of step 3, and the block table's lock once more
 // to publish pointers, tiers and traffic stats — where migrating the
-// same blocks one at a time takes five locks per block.
+// same blocks one at a time takes five locks per block.  A timed batch
+// also reads the clock after each op's step to fill its step times;
+// an untimed one reads no clock (the threaded runtime times its
+// batches only when tracing or metrics read the times).
 //
 // A per-tier pooling allocator implements the paper's stated future
 // optimization ("the creating of space in destination memory could be
@@ -73,9 +76,11 @@ struct MigrateOp {
 
 /// Outcome and timing breakdown of one migration (for bench/fig07,
 /// abl_pool and the runtime's trace intervals).  The step times are
-/// this migration's own, batched or not: a batch reads the clock once
-/// after each op's allocation, copy and free, so the time to take a
-/// step's lock lands on the first op served under it.
+/// this migration's own, batched or not: a timed batch reads the clock
+/// once after each op's allocation, copy and free, so the time to take
+/// a step's lock lands on the first op served under it.  migrate()
+/// always fills them; migrate_batch() fills them only when asked
+/// (`timed`), and an untimed batch reads no clock and leaves them 0.
 struct MigrateResult {
   bool ok = false;       // false: destination tier had no space
   std::uint64_t bytes = 0; // the block's size (set even when !ok)
@@ -167,10 +172,13 @@ public:
   /// pool drain and shadow reclaim — so an op fails only when its tier
   /// cannot hold it at that point.  A block may appear once per batch;
   /// a repeat dies like any concurrent migration of one block.
+  /// `timed = false` skips the per-step clock reads (three per
+  /// migration) for callers that never read the step times; every
+  /// other field of `out`, and every effect, is the same either way.
   void migrate_batch(std::span<const MigrateOp> ops,
-                     std::span<MigrateResult> out);
+                     std::span<MigrateResult> out, bool timed = true);
 
-  /// migrate_batch() of the single op {b, dst, copy_contents}.
+  /// Timed migrate_batch() of the single op {b, dst, copy_contents}.
   MigrateResult migrate(BlockId b, TierId dst, bool copy_contents = true);
 
   // ---- cooperative chunked copies ----
@@ -274,9 +282,10 @@ private:
   /// Steps 1-3 for every Move slot of ops[0, n), then the closing
   /// blocks_mu_ section that publishes all n.  `retry` allocates
   /// through alloc_on (pool drain + shadow reclaim) and turns a miss
-  /// into Failed; otherwise a miss becomes Retry.
+  /// into Failed; otherwise a miss becomes Retry.  `timed` fills the
+  /// step times.
   void run_moves(const MigrateOp* ops, Slot* slots, MigrateResult* out,
-                 std::size_t n, bool retry);
+                 std::size_t n, bool retry, bool timed);
 
   /// Pool, then arena, then drain the pool into the arena and retry.
   /// Caller holds ts.mu.  nullptr = no room even without the pool.

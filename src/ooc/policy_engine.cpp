@@ -112,11 +112,12 @@ PolicyEngine::Event PolicyEngine::Event::completed(TaskId t) {
   return e;
 }
 
-std::vector<Command> PolicyEngine::step_batch(std::vector<Event> events) {
-  std::vector<Command> cmds;
+void PolicyEngine::step_batch(std::vector<Event>& events,
+                              std::vector<Command>& cmds) {
   // Most events yield one or two commands (an arrival's fetches or
-  // run, a completion's evictions): one allocation covers the batch.
-  cmds.reserve(2 * events.size());
+  // run, a completion's evictions): one allocation covers the batch,
+  // and none once a reused `cmds` has grown to that size.
+  cmds.reserve(cmds.size() + 2 * events.size());
   for (Event& e : events) {
     switch (e.kind) {
       case Event::Kind::TaskArrived:
@@ -133,7 +134,6 @@ std::vector<Command> PolicyEngine::step_batch(std::vector<Event> events) {
         break;
     }
   }
-  return cmds;
 }
 
 std::vector<Command> PolicyEngine::on_task_arrived(const TaskDesc& task) {

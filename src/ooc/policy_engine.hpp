@@ -198,12 +198,20 @@ public:
     return on_task_complete(t);
   }
 
-  /// Process a batch of events in order, concatenating the resulting
-  /// commands.  Exactly equivalent to calling the per-event entry
-  /// points one by one; exists so a threaded executor can amortize one
-  /// engine-lock acquisition over the whole batch.  Arrivals' task
-  /// descriptors are moved out of `events`.
-  std::vector<Command> step_batch(std::vector<Event> events);
+  /// Process a batch of events in order, appending the resulting
+  /// commands to `out`.  Exactly equivalent to calling the per-event
+  /// entry points one by one; exists so a threaded executor can
+  /// amortize one engine-lock acquisition over the whole batch, into
+  /// buffers it reuses.  Arrivals' task descriptors are moved out of
+  /// `events`.
+  void step_batch(std::vector<Event>& events, std::vector<Command>& out);
+
+  /// step_batch() into a fresh vector.
+  std::vector<Command> step_batch(std::vector<Event> events) {
+    std::vector<Command> out;
+    step_batch(events, out);
+    return out;
+  }
 
   // ---- online reconfiguration (adaptive governor) ----
   //

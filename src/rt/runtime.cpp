@@ -43,9 +43,9 @@ ooc::PolicyEngine::Config engine_config(const Runtime::Config& cfg,
 }
 
 /// Block flight recorder depth: the last N residency transitions per
-/// block, kept for post-mortem debugging.  Cheap — one striped-map
-/// update per migration — so it is always on; HMR_FLIGHT_DEPTH is the
-/// operator override (telemetry::flight_depth_from_env).
+/// block, kept for post-mortem debugging.  Cheap — one dense-table
+/// ring write per migration — so it is always on; HMR_FLIGHT_DEPTH is
+/// the operator override (telemetry::flight_depth_from_env).
 constexpr std::size_t kFlightDepth = 8;
 
 /// Max engine events a PE/IO thread hands the engine per lock
@@ -250,9 +250,18 @@ void Runtime::send(int pe, Body body) {
   w.cv.notify_one();
 }
 
+void Runtime::check_tenant(std::uint32_t tenant) const {
+  // Without tenancy nothing else would catch a stray id, and metrics
+  // runs size per-tenant tables by it.
+  HMR_CHECK_MSG(tenant < std::max<std::size_t>(1, cfg_.serve.tenants.size()),
+                "send_prefetch names an unregistered tenant (must be 0 "
+                "without Config::serve tenants)");
+}
+
 void Runtime::send_prefetch(int pe, DepList deps, Body body,
                             double work_factor, std::uint32_t tenant) {
   HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
+  check_tenant(tenant);
   msgs_add(1);
   PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
   std::lock_guard lk(w.mu);
@@ -284,6 +293,7 @@ void Runtime::send_batch(int pe, std::vector<Body> bodies) {
 void Runtime::send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs) {
   HMR_CHECK(pe >= 0 && pe < cfg_.num_pes);
   if (msgs.empty()) return;
+  for (const PrefetchMsg& pm : msgs) check_tenant(pm.tenant);
   msgs_add(msgs.size());
   PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
   std::lock_guard lk(w.mu);
@@ -299,10 +309,16 @@ void Runtime::send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs) {
   w.cv.notify_one();
 }
 
+Runtime::Visit& Runtime::VisitStack::push() {
+  if (depth_ == levels_.size()) levels_.emplace_back();
+  return levels_[depth_++];
+}
+
 void Runtime::pe_loop(int pe) {
   PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
   std::vector<ReadyTask> tasks;
   std::vector<Msg> msgs;
+  VisitStack visits;
   telemetry::Heartbeat& hb = pe_beats_[static_cast<std::size_t>(pe)];
   for (;;) {
     // Liveness stamp for /status and the watchdog.  A parked thread
@@ -338,9 +354,9 @@ void Runtime::pe_loop(int pe) {
       }
     }
     if (!tasks.empty()) {
-      run_ready_batch(pe, tasks);
+      run_ready_batch(pe, tasks, visits);
     } else {
-      intercept_batch(pe, msgs);
+      intercept_batch(pe, msgs, visits);
     }
   }
 }
@@ -349,6 +365,7 @@ void Runtime::io_loop(int io) {
   IoWorker& w = *io_[static_cast<std::size_t>(io)];
   const int lane = cfg_.num_pes + io;
   std::vector<ooc::Command> batch;
+  VisitStack visits;
   telemetry::Heartbeat& hb = io_beats_[static_cast<std::size_t>(io)];
   for (;;) {
     hb.beat(now_ns());
@@ -376,17 +393,19 @@ void Runtime::io_loop(int io) {
         w.cmds.pop_front();
       }
     }
-    perform_transfer_batch(batch, lane);
+    perform_transfer_batch(batch, lane, visits);
   }
 }
 
-void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
-  std::vector<ooc::PolicyEngine::Event> arrivals;
-  arrivals.reserve(msgs.size());
+void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs,
+                              VisitStack& visits) {
+  VisitScope v(visits);
+  v->evs.clear();
   auto flush = [&] {
-    if (arrivals.empty()) return;
-    process(engine_step(std::move(arrivals), pe), pe);
-    arrivals.clear();
+    if (v->evs.empty()) return;
+    engine_step(v->evs, pe, v->cmds);
+    v->evs.clear();
+    process(*v, pe, visits);
   };
   for (auto& msg : msgs) {
     if (!msg.prefetch) {
@@ -425,12 +444,13 @@ void Runtime::intercept_batch(int pe, std::vector<Msg>& msgs) {
     desc.deps = std::move(msg.deps);
     desc.work_factor = msg.work_factor;
     desc.tenant = msg.tenant;
-    arrivals.push_back(ooc::PolicyEngine::Event::arrived(std::move(desc)));
+    v->evs.push_back(ooc::PolicyEngine::Event::arrived(std::move(desc)));
   }
   flush();
 }
 
-void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
+void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks,
+                              VisitStack& visits) {
   for (const auto& task : tasks) {
     const double ts = now();
     if (metrics_) {
@@ -467,17 +487,21 @@ void Runtime::run_ready_batch(int pe, std::vector<ReadyTask>& tasks) {
       tasks.size(), std::memory_order_relaxed);
   // Post-processing step: release claims, trigger evictions — one
   // engine visit for the whole batch.
-  std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(tasks.size());
-  for (const auto& t : tasks) {
-    evs.push_back(ooc::PolicyEngine::Event::completed(t.id));
+  {
+    VisitScope v(visits);
+    v->evs.clear();
+    for (const auto& t : tasks) {
+      v->evs.push_back(ooc::PolicyEngine::Event::completed(t.id));
+    }
+    engine_step(v->evs, pe, v->cmds);
+    process(*v, pe, visits);
   }
-  process(engine_step(std::move(evs), pe), pe);
   note_done(tasks.size());
 }
 
-std::vector<ooc::Command> Runtime::engine_step(
-    std::vector<ooc::PolicyEngine::Event> evs, int pe) {
+void Runtime::engine_step(std::vector<ooc::PolicyEngine::Event>& evs, int pe,
+                          std::vector<ooc::Command>& out) {
+  out.clear();
   trace::lock_counted(engine_mu_, lock_stats_.get(), 0);
   std::lock_guard elk(engine_mu_, std::adopt_lock);
   if (!tenancy_) {
@@ -488,15 +512,14 @@ std::vector<ooc::Command> Runtime::engine_step(
             e.task, [this](mem::BlockId b) { return mm_->block_bytes(b); });
       }
     }
-    std::vector<ooc::Command> cmds = engine_.step_batch(std::move(evs));
-    observe_locked(cmds);
-    return cmds;
+    engine_.step_batch(evs, out);
+    observe_locked(out);
+    return;
   }
   // Per-event visits through the decorator (admission may defer or
   // reorder, so batching buys nothing); lock order engine_mu_ ->
   // TenantEngine's mutex.  Adaptive guidance is excluded by
   // construction, so there is nothing to observe.
-  std::vector<ooc::Command> cmds;
   for (auto& e : evs) {
     std::vector<ooc::Command> c;
     switch (e.kind) {
@@ -513,31 +536,31 @@ std::vector<ooc::Command> Runtime::engine_step(
         c = tenancy_->on_task_complete(e.task_id, pe);
         break;
     }
-    cmds.insert(cmds.end(), std::make_move_iterator(c.begin()),
-                std::make_move_iterator(c.end()));
+    out.insert(out.end(), std::make_move_iterator(c.begin()),
+               std::make_move_iterator(c.end()));
   }
-  return cmds;
 }
 
-void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
-                                     int trace_lane) {
+void Runtime::perform_transfer_batch(std::span<const ooc::Command> cmds,
+                                     int trace_lane, VisitStack& visits) {
   const std::size_t n = cmds.size();
+  VisitScope v(visits);
   // A write-only dependence's old contents are dead: skip the memcpy
   // (the paper's migration always copies; this is the optional
   // writeonly_nocopy extension).
-  std::vector<mem::MigrateOp> ops(n);
+  v->ops.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ops[i] = {cmds[i].block, cmds[i].dst_tier, !cmds[i].nocopy};
+    v->ops[i] = {cmds[i].block, cmds[i].dst_tier, !cmds[i].nocopy};
   }
-  std::vector<mem::MigrateResult> res(n);
+  v->res.resize(n);
   // Per-migration intervals and latency samples only when someone
   // reads them; the flight recorder needs one stamp per batch.
   const bool timed = tracer_.enabled() || metrics_ != nullptr;
   const double ts = timed ? now() : 0;
-  mm_->migrate_batch(ops, res);
+  mm_->migrate_batch(v->ops, v->res, timed);
   const double te = timed || flight_ ? now() : 0;
   double work = 0;
-  for (const mem::MigrateResult& r : res) {
+  for (const mem::MigrateResult& r : v->res) {
     HMR_CHECK_MSG(r.ok,
                   "migration failed: tier fragmentation exceeded the policy "
                   "engine's byte budget");
@@ -549,13 +572,12 @@ void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
   const double shared =
       std::max(0.0, (te - ts - work) / static_cast<double>(n));
 
-  std::vector<ooc::PolicyEngine::Event> evs;
-  evs.reserve(n);
+  v->evs.clear();
   std::uint64_t fetches = 0;
   double start = ts;
   for (std::size_t i = 0; i < n; ++i) {
     const ooc::Command& cmd = cmds[i];
-    const mem::MigrateResult& r = res[i];
+    const mem::MigrateResult& r = v->res[i];
     const bool fetch = cmd.kind == ooc::Command::Kind::Fetch;
     double end = te;
     if (timed && i + 1 < n) end = std::min(te, start + r.total() + shared);
@@ -578,93 +600,138 @@ void Runtime::perform_transfer_batch(const std::vector<ooc::Command>& cmds,
     }
     start = end;
     fetches += fetch ? 1 : 0;
-    evs.push_back(fetch ? ooc::PolicyEngine::Event::fetched(cmd.block)
-                        : ooc::PolicyEngine::Event::evicted(cmd.block));
+    v->evs.push_back(fetch ? ooc::PolicyEngine::Event::fetched(cmd.block)
+                           : ooc::PolicyEngine::Event::evicted(cmd.block));
   }
   if (cfg_.watchdog && fetches > 0) {
     fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
     fetch_completed_.fetch_add(fetches, std::memory_order_relaxed);
   }
-  process(engine_step(std::move(evs), /*pe=*/-1), trace_lane);
+  engine_step(v->evs, /*pe=*/-1, v->cmds);
+  process(*v, trace_lane, visits);
   ops_sub(n);
 }
 
-void Runtime::process(std::vector<ooc::Command> cmds, int context_lane) {
-  if (cfg_.watchdog) {
+void Runtime::process(Visit& v, int context_lane, VisitStack& visits) {
+  const std::vector<ooc::Command>& cmds = v.cmds;
+  const std::size_t n = cmds.size();
+  std::uint64_t transfers = 0;
+  std::uint64_t fetches = 0;
+  for (const ooc::Command& c : cmds) {
+    if (c.kind == ooc::Command::Kind::Run) continue;
+    ++transfers;
+    if (c.kind == ooc::Command::Kind::Fetch) ++fetches;
+  }
+  if (cfg_.watchdog && fetches > 0) {
     // The watchdog's fetch-age hook is these counters' only reader.
     // Count before dispatching, so completions never outrun them.
-    const auto fetches = static_cast<std::uint64_t>(std::count_if(
-        cmds.begin(), cmds.end(), [](const ooc::Command& c) {
-          return c.kind == ooc::Command::Kind::Fetch;
-        }));
-    if (fetches > 0) {
-      fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
-      fetch_dispatched_.fetch_add(fetches, std::memory_order_relaxed);
+    fetch_last_ns_.store(now_ns(), std::memory_order_relaxed);
+    fetch_dispatched_.fetch_add(fetches, std::memory_order_relaxed);
+  }
+  // Every transfer is outstanding before any queue can see it (an IO
+  // thread may finish one before this loop ends).
+  if (transfers > 0) ops_add(transfers);
+
+  // One section per destination: the first command not yet sent opens
+  // its PE's or IO thread's section, which takes every later command
+  // for that destination, in command order, and wakes it once.
+  // Inline transfers are marked sent here and run afterwards.
+  v.sent.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v.sent[i]) continue;
+    const ooc::Command& c = cmds[i];
+    if (c.kind == ooc::Command::Kind::Run) {
+      dispatch_runs(v, i);
+    } else if (c.agent != ooc::kWorkerInline) {
+      dispatch_transfers(v, i);
     }
   }
-  for (auto& c : cmds) {
-    switch (c.kind) {
-      case ooc::Command::Kind::Run: {
-        ReadyTask task;
-        {
-          PendingShard& ps = pending_[static_cast<std::size_t>(c.pe)];
-          std::lock_guard lk(ps.mu);
-          auto it = ps.map.find(c.task);
-          HMR_CHECK_MSG(it != ps.map.end(), "run of unknown task");
-          task = std::move(it->second);
-          ps.map.erase(it);
-        }
-        // Deps are resident from here; start - t_ready is pure run
-        // queue wait, t_ready - t_arrive is the fetch wait.
-        if (attrib_) task.t_ready = now();
-        PeWorker& w = *pes_[static_cast<std::size_t>(c.pe)];
-        std::lock_guard lk(w.mu);
-        w.run_q.push_back(std::move(task));
-        w.cv.notify_one();
-        break;
-      }
-      case ooc::Command::Kind::Fetch:
-      case ooc::Command::Kind::Evict: {
-        ops_add(1);
-        if (c.agent == ooc::kWorkerInline) {
-          // Synchronous pre/post-processing on the current thread.
-          perform_transfer_batch({c}, context_lane);
-        } else {
-          HMR_CHECK(!io_.empty());
-          IoWorker& w =
-              *io_[static_cast<std::size_t>(c.agent) % io_.size()];
-          std::lock_guard lk(w.mu);
-          if (tenancy_ && tenancy_->priority_dispatch()) {
-            // QoS preemption of not-yet-started transfers: slot ahead
-            // of every queued command with a worse dispatch rank.
-            const int rank = tenancy_->dispatch_rank(c);
-            auto pos = w.cmds.end();
-            for (auto it = w.cmds.begin(); it != w.cmds.end(); ++it) {
-              if (tenancy_->dispatch_rank(*it) > rank) {
-                pos = it;
-                break;
-              }
-            }
-            if (pos != w.cmds.end() &&
-                c.kind == ooc::Command::Kind::Fetch) {
-              const auto winner = tenancy_->command_tenant(c);
-              for (auto it = pos; it != w.cmds.end(); ++it) {
-                if (it->kind == ooc::Command::Kind::Fetch) {
-                  tenancy_->note_displacement(winner,
-                                              tenancy_->command_tenant(*it));
-                }
-              }
-            }
-            w.cmds.insert(pos, c);
-          } else {
-            w.cmds.push_back(c);
-          }
-          w.cv.notify_one();
-        }
+  // Synchronous pre/post-processing on the current thread, in command
+  // order.  Each re-enters dispatch one VisitStack level down, so
+  // `cmds` stays intact while this loop walks it.
+  for (const ooc::Command& c : cmds) {
+    if (c.kind != ooc::Command::Kind::Run &&
+        c.agent == ooc::kWorkerInline) {
+      perform_transfer_batch({&c, 1}, context_lane, visits);
+    }
+  }
+}
+
+void Runtime::dispatch_runs(Visit& v, std::size_t first) {
+  const std::vector<ooc::Command>& cmds = v.cmds;
+  const int pe = cmds[first].pe;
+  const auto mine = [&](const ooc::Command& c) {
+    return c.kind == ooc::Command::Kind::Run && c.pe == pe;
+  };
+  v.ready.clear();
+  {
+    PendingShard& ps = pending_[static_cast<std::size_t>(pe)];
+    std::lock_guard lk(ps.mu);
+    for (std::size_t j = first; j < cmds.size(); ++j) {
+      if (v.sent[j] || !mine(cmds[j])) continue;
+      auto it = ps.map.find(cmds[j].task);
+      HMR_CHECK_MSG(it != ps.map.end(), "run of unknown task");
+      v.ready.push_back(std::move(it->second));
+      ps.map.erase(it);
+      v.sent[j] = 1;
+    }
+  }
+  // Deps are resident from here; start - t_ready is pure run queue
+  // wait, t_ready - t_arrive is the fetch wait.
+  if (attrib_) {
+    const double t = now();
+    for (ReadyTask& task : v.ready) task.t_ready = t;
+  }
+  PeWorker& w = *pes_[static_cast<std::size_t>(pe)];
+  {
+    std::lock_guard lk(w.mu);
+    for (ReadyTask& task : v.ready) w.run_q.push_back(std::move(task));
+    w.cv.notify_one();
+  }
+  v.ready.clear();
+}
+
+void Runtime::dispatch_transfers(Visit& v, std::size_t first) {
+  HMR_CHECK(!io_.empty());
+  const std::vector<ooc::Command>& cmds = v.cmds;
+  const std::size_t io =
+      static_cast<std::size_t>(cmds[first].agent) % io_.size();
+  const auto mine = [&](const ooc::Command& c) {
+    return c.kind != ooc::Command::Kind::Run &&
+           c.agent != ooc::kWorkerInline &&
+           static_cast<std::size_t>(c.agent) % io_.size() == io;
+  };
+  IoWorker& w = *io_[io];
+  std::lock_guard lk(w.mu);
+  for (std::size_t j = first; j < cmds.size(); ++j) {
+    if (v.sent[j] || !mine(cmds[j])) continue;
+    v.sent[j] = 1;
+    const ooc::Command& c = cmds[j];
+    if (!tenancy_ || !tenancy_->priority_dispatch()) {
+      w.cmds.push_back(c);
+      continue;
+    }
+    // QoS preemption of not-yet-started transfers: slot ahead of every
+    // queued command with a worse dispatch rank.
+    const int rank = tenancy_->dispatch_rank(c);
+    auto pos = w.cmds.end();
+    for (auto it = w.cmds.begin(); it != w.cmds.end(); ++it) {
+      if (tenancy_->dispatch_rank(*it) > rank) {
+        pos = it;
         break;
       }
     }
+    if (pos != w.cmds.end() && c.kind == ooc::Command::Kind::Fetch) {
+      const auto winner = tenancy_->command_tenant(c);
+      for (auto it = pos; it != w.cmds.end(); ++it) {
+        if (it->kind == ooc::Command::Kind::Fetch) {
+          tenancy_->note_displacement(winner, tenancy_->command_tenant(*it));
+        }
+      }
+    }
+    w.cmds.insert(pos, c);
   }
+  w.cv.notify_one();
 }
 
 void Runtime::observe_locked(const std::vector<ooc::Command>& cmds) {
@@ -720,7 +787,12 @@ void Runtime::governor_phase_end() {
   if (cmds.empty()) return;
   // Any LRU-flush evictions count as outstanding ops; push them and
   // wait for the node to settle again before the next phase starts.
-  process(std::move(cmds), /*context_lane=*/0);
+  {
+    VisitStack visits;
+    VisitScope v(visits);
+    v->cmds = std::move(cmds);
+    process(*v, /*context_lane=*/0, visits);
+  }
   std::unique_lock lk(idle_mu_);
   idle_cv_.wait(lk, [&] {
     if (outstanding_msgs_.load(std::memory_order_acquire) != 0 ||

@@ -31,15 +31,24 @@
 // spin is charged to the lock-wait counters.  An IO wakeup likewise
 // hands every command it drained (up to 16) to one
 // MemoryManager::migrate_batch, which takes the block table's and each
-// tier's lock once per batch instead of once per block.  The clock is
-// read once per batch (the flight recorder's stamp) unless tracing or
-// metrics are on; then each migration's trace interval and latency
-// sample is its own step time plus an equal share of the batch's lock
-// sections, so its intervals tile the batch on the IO lane.  The
-// watchdog's fetch counters are written only when the watchdog is on.
-// With tenancy on, the events go one at a time through a
-// serve::TenantEngine wrapped around the same engine, still under
-// engine_mu_.
+// tier's lock once per batch instead of once per block.  Step clocks
+// run only when something reads them: with tracing or metrics on, the
+// batch is timed (three clock reads per migration) and each
+// migration's trace interval and latency sample is its own step time
+// plus an equal share of the batch's lock sections, so its intervals
+// tile the batch on the IO lane; otherwise the batch reads no clock
+// and the IO thread reads one per batch, the flight recorder's stamp.
+// The commands an engine visit returns are dispatched one section per
+// destination: each PE's Run commands take its pending shard and run
+// queue once and wake it once, each IO thread's transfers take its
+// queue once and wake it once, in command order per destination.  A
+// visit's events, commands, migrate ops and results live in buffers
+// the PE/IO loop owns and reuses (VisitStack), one set per level of
+// re-entry, since inline transfers run a nested visit from inside
+// dispatch.  The watchdog's fetch counters are written only when the
+// watchdog is on.  With tenancy on, the events go one at a time
+// through a serve::TenantEngine wrapped around the same engine, still
+// under engine_mu_.
 //
 // Configuration (Config) is the paper's choices — strategy, eager or
 // lazy eviction, PE count — plus the node model and opt-in telemetry.
@@ -55,6 +64,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -254,7 +264,8 @@ public:
   /// resident in the fast tier under the configured strategy, and only
   /// then execute `body`.
   /// `tenant` keys tenancy admission/quotas/stats when Config::serve
-  /// registered tenants (ignored — and must stay 0 — otherwise).
+  /// registered tenants, and must name one of them; without tenants it
+  /// must be 0.  Either way a bad id dies here, at send time.
   void send_prefetch(int pe, DepList deps, Body body,
                      double work_factor = 1.0, std::uint32_t tenant = 0);
 
@@ -267,7 +278,7 @@ public:
     DepList deps;
     Body body;
     double work_factor = 1.0;
-    std::uint32_t tenant = 0;
+    std::uint32_t tenant = 0; // as send_prefetch's `tenant`
   };
   void send_prefetch_batch(int pe, std::vector<PrefetchMsg> msgs);
 
@@ -376,20 +387,77 @@ private:
     std::atomic<std::uint64_t> v{0};
   };
 
+  /// The buffers of one engine visit and the dispatch after it:
+  /// events, the commands they yield, a transfer batch's ops and
+  /// results, and process()'s grouping state.  Kept and reused, so a
+  /// visit allocates only while its buffers are still growing.
+  struct Visit {
+    std::vector<ooc::PolicyEngine::Event> evs;
+    std::vector<ooc::Command> cmds;
+    std::vector<mem::MigrateOp> ops;
+    std::vector<mem::MigrateResult> res;
+    std::vector<std::uint8_t> sent; // process(): command dispatched
+    std::vector<ReadyTask> ready;   // dispatch_runs(): one PE's tasks
+  };
+
+  /// One thread's Visits, one per level of re-entry: an inline
+  /// transfer (SyncNoIo, evict_by_worker) runs a whole nested visit
+  /// from inside process() while the outer level is still walking its
+  /// commands, so each level needs buffers of its own.  Owned by the
+  /// PE/IO loop (or a governor phase end) and never shared.
+  class VisitStack {
+  public:
+    Visit& push();
+    void pop() { --depth_; }
+
+  private:
+    std::deque<Visit> levels_; // push() never moves a live level
+    std::size_t depth_ = 0;
+  };
+
+  /// The next level of a VisitStack for one scope.
+  class VisitScope {
+  public:
+    explicit VisitScope(VisitStack& s) : s_(s), v_(s.push()) {}
+    ~VisitScope() { s_.pop(); }
+    VisitScope(const VisitScope&) = delete;
+    VisitScope& operator=(const VisitScope&) = delete;
+    Visit& operator*() { return v_; }
+    Visit* operator->() { return &v_; }
+
+  private:
+    VisitStack& s_;
+    Visit& v_;
+  };
+
+  /// Dies unless `tenant` is one send_prefetch accepts.
+  void check_tenant(std::uint32_t tenant) const;
   void pe_loop(int pe);
   void io_loop(int io);
-  void run_ready_batch(int pe, std::vector<ReadyTask>& tasks);
-  void intercept_batch(int pe, std::vector<Msg>& msgs);
+  void run_ready_batch(int pe, std::vector<ReadyTask>& tasks,
+                       VisitStack& visits);
+  void intercept_batch(int pe, std::vector<Msg>& msgs, VisitStack& visits);
   /// Execute a wakeup's migrations as one MemoryManager batch, record
   /// each one's trace interval, then report them in one engine visit.
-  void perform_transfer_batch(const std::vector<ooc::Command>& cmds,
-                              int trace_lane);
-  void process(std::vector<ooc::Command> cmds, int context_lane);
+  void perform_transfer_batch(std::span<const ooc::Command> cmds,
+                              int trace_lane, VisitStack& visits);
+  /// Dispatch `v.cmds`: one section per destination PE or IO thread
+  /// (dispatch_runs / dispatch_transfers), then the inline transfers
+  /// on this thread, each one VisitStack level down.
+  void process(Visit& v, int context_lane, VisitStack& visits);
+  /// The Run commands of `v.cmds[first]`'s PE from `first` on: one
+  /// pending-shard section, one run-queue section, one wakeup.
+  void dispatch_runs(Visit& v, std::size_t first);
+  /// The queued transfers of `v.cmds[first]`'s IO thread from `first`
+  /// on: one queue section (priority_dispatch ranks each command
+  /// inside it), one wakeup.
+  void dispatch_transfers(Visit& v, std::size_t first);
   /// One engine visit under engine_mu_: a step_batch, or one
-  /// TenantEngine call per event with tenancy on.  `pe` is the PE any
-  /// TaskComplete events ran on.
-  std::vector<ooc::Command> engine_step(
-      std::vector<ooc::PolicyEngine::Event> evs, int pe);
+  /// TenantEngine call per event with tenancy on; `out` is cleared,
+  /// then receives the commands.  `pe` is the PE any TaskComplete
+  /// events ran on.
+  void engine_step(std::vector<ooc::PolicyEngine::Event>& evs, int pe,
+                   std::vector<ooc::Command>& out);
   /// The engine block/quiescence/audit calls go to: the tenancy
   /// decorator when on, else the policy engine.  Call under engine_mu_.
   ooc::Engine& active_engine() {

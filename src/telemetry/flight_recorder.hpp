@@ -9,14 +9,24 @@
 // debugging can replay exactly the path one block took through the
 // hierarchy.
 //
-// Writers are the executors' migration completion paths (rare relative
-// to task execution); a small striped-mutex map keeps them from
-// contending without the complexity of a lock-free multimap.
+// Writers are the executors' migration completion paths: in the
+// threaded runtime every task's fetches and evictions land here, two
+// to four writes per task, so a write must cost a few loads and one
+// uncontended lock.  Both executors number blocks densely, so the
+// rings live in a table indexed by BlockId: fixed-size chunks of
+// rings, reached through a directory that doubles when an id lands
+// past its end.  A chunk never moves once published and a replaced
+// directory is kept until the recorder dies, so a lookup is two
+// acquire loads with no lock; each ring has its own mutex, which
+// writers of distinct blocks never share.  Only a write grows the
+// table (at most kMaxBlockIdGap past what it covers, as the policy
+// engine bounds its own table); reads past the end find nothing.
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "ooc/types.hpp"
@@ -41,40 +51,67 @@ public:
     bool fetch = false; // promotion (fetch) vs demotion (evict)
   };
 
+  /// Growth bound of the table: recording an id more than this far
+  /// past the ids the table covers is a caller bug (a stray or
+  /// uninitialized id), not a reason to allocate gigabytes.
+  static constexpr ooc::BlockId kMaxBlockIdGap = ooc::BlockId{1} << 20;
+
   /// Keep the last `depth` transitions per block.
   explicit BlockFlightRecorder(std::size_t depth = 8);
+  ~BlockFlightRecorder();
+
+  BlockFlightRecorder(const BlockFlightRecorder&) = delete;
+  BlockFlightRecorder& operator=(const BlockFlightRecorder&) = delete;
 
   std::size_t depth() const { return depth_; }
+  /// Block ids the table covers now, [0, capacity()); only record()
+  /// raises it.
+  std::uint64_t capacity() const;
 
   void record(ooc::BlockId b, const Transition& t);
 
   /// The block's retained transitions, oldest first; and how many were
   /// recorded in total (>= history().size() once the ring wrapped).
+  /// Empty / 0 for a block never recorded, however large its id.
   std::vector<Transition> history(ooc::BlockId b) const;
   std::uint64_t total_recorded(ooc::BlockId b) const;
 
-  /// Text dump of one block / of every block seen (for post-mortems).
+  /// Text dump of one block / of every recorded block in ascending id
+  /// order (for post-mortems).
   void dump_block(std::ostream& os, ooc::BlockId b) const;
   void dump(std::ostream& os) const;
 
 private:
-  struct Ring {
-    std::vector<Transition> slots;
-    std::uint64_t n = 0; // total recorded; slots[n % depth] is next
-  };
-  struct alignas(64) Stripe {
+  struct alignas(64) Ring {
     mutable std::mutex mu;
-    std::unordered_map<ooc::BlockId, Ring> blocks;
+    std::uint64_t n = 0; // total recorded; slots[n % depth] is next
+    std::unique_ptr<Transition[]> slots; // depth_ entries, first write
   };
-  static constexpr std::size_t kStripes = 16;
+  static constexpr unsigned kChunkBits = 8;
+  static constexpr std::size_t kChunkRings = std::size_t{1} << kChunkBits;
+  struct Chunk {
+    Ring rings[kChunkRings];
+  };
+  struct Directory {
+    explicit Directory(std::size_t n);
+    std::size_t size; // chunk slots; covers size * kChunkRings ids
+    std::unique_ptr<std::atomic<Chunk*>[]> chunks; // null = gap
+  };
 
-  Stripe& stripe(ooc::BlockId b) { return stripes_[b % kStripes]; }
-  const Stripe& stripe(ooc::BlockId b) const {
-    return stripes_[b % kStripes];
-  }
+  /// The block's ring, or nullptr when no write has reached its chunk.
+  /// Never grows the table.
+  Ring* find(ooc::BlockId b) const;
+  /// The block's ring, growing the directory and adding its chunk
+  /// when needed (under grow_mu_).
+  Ring& ring_for_write(ooc::BlockId b);
 
   std::size_t depth_;
-  Stripe stripes_[kStripes];
+  std::atomic<Directory*> dir_{nullptr};
+  std::mutex grow_mu_; // serializes growth; guards the owners below
+  // Every directory ever published (a reader may still hold an older
+  // one) and every chunk; freed only with the recorder.
+  std::vector<std::unique_ptr<Directory>> dirs_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
 };
 
 } // namespace hmr::telemetry

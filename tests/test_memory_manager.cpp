@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -198,6 +199,110 @@ TEST(MemoryManager, BatchMatchesSequentialMigrations) {
     }
   }
   EXPECT_GT(batched.pool_stats(1).hits, 0u);
+}
+
+// An untimed batch reads no clock and leaves every step time 0;
+// everything else — results, placements, shadows, pool and traffic
+// stats — is the timed batch's.  migrate() stays timed.
+TEST(MemoryManager, UntimedBatchMatchesTimed) {
+  constexpr std::uint64_t kSizes[] = {1 * KiB, 16 * KiB, 80 * KiB};
+  constexpr int kPerSize = 3;
+  MemoryManager timed = make_two_tier(/*pool=*/true);
+  MemoryManager untimed = make_two_tier(/*pool=*/true);
+  // Each tier's first allocation sits at its arena's base: pointers
+  // are compared as offsets from it.
+  std::uintptr_t base[2][2];
+  MemoryManager* mms[2] = {&timed, &untimed};
+  for (int m = 0; m < 2; ++m) {
+    mms[m]->set_zero_copy(true);
+    mms[m]->set_chunked_copy(64 * KiB, 16 * KiB);
+    for (TierId t = 0; t < 2; ++t) {
+      void* p = mms[m]->alloc_on_tier(64, t);
+      base[m][t] = reinterpret_cast<std::uintptr_t>(p);
+      mms[m]->free_on_tier(p, t);
+    }
+  }
+  std::vector<BlockId> ids;
+  for (const std::uint64_t sz : kSizes) {
+    for (int i = 0; i < kPerSize; ++i) {
+      const BlockId b = timed.register_block(sz, 0);
+      ASSERT_EQ(untimed.register_block(sz, 0), b);
+      fill(timed, b, 1);
+      fill(untimed, b, 1);
+      ids.push_back(b);
+    }
+  }
+  const auto offset = [&](int m, BlockId b) {
+    const MemoryManager& mm = *mms[m];
+    return reinterpret_cast<std::uintptr_t>(mm.block_ptr(b)) -
+           base[m][mm.block_tier(b)];
+  };
+  Xoshiro256 rng(23);
+  double timed_work = 0;
+  for (int round = 0; round < 40; ++round) {
+    // A random set of blocks changes tier; some moves are write-only
+    // (no copy, no retained shadow), and the writer then rewrites the
+    // block in both managers.
+    std::vector<MigrateOp> ops;
+    for (const BlockId b : ids) {
+      if (rng() % 2 == 0) continue;
+      const TierId dst = timed.block_tier(b) == 0 ? TierId{1} : TierId{0};
+      ops.push_back({b, dst, rng() % 4 != 0});
+    }
+    std::vector<MigrateResult> rt(ops.size()), ru(ops.size());
+    timed.migrate_batch(ops, rt);
+    untimed.migrate_batch(ops, ru, /*timed=*/false);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " op " << i);
+      EXPECT_TRUE(rt[i].ok);
+      EXPECT_EQ(ru[i].ok, rt[i].ok);
+      EXPECT_EQ(ru[i].bytes, rt[i].bytes);
+      EXPECT_EQ(ru[i].pooled, rt[i].pooled);
+      EXPECT_EQ(ru[i].zero_copy, rt[i].zero_copy);
+      EXPECT_EQ(ru[i].chunked, rt[i].chunked);
+      EXPECT_EQ(ru[i].chunks, rt[i].chunks);
+      EXPECT_EQ(ru[i].alloc_s, 0.0);
+      EXPECT_EQ(ru[i].copy_s, 0.0);
+      EXPECT_EQ(ru[i].free_s, 0.0);
+      timed_work += rt[i].total();
+      if (!ops[i].copy_contents) {
+        fill(timed, ops[i].block, 100 + round);
+        fill(untimed, ops[i].block, 100 + round);
+      }
+    }
+    for (const BlockId b : ids) {
+      ASSERT_EQ(untimed.block_tier(b), timed.block_tier(b));
+      ASSERT_EQ(offset(1, b), offset(0, b)) << "block " << b;
+      ASSERT_EQ(contents(untimed, b), contents(timed, b)) << "block " << b;
+    }
+    for (TierId t = 0; t < 2; ++t) {
+      expect_same_usage(untimed, timed, t); // shadow bytes included
+      EXPECT_EQ(untimed.pool_stats(t).hits, timed.pool_stats(t).hits);
+      EXPECT_EQ(untimed.pool_stats(t).misses, timed.pool_stats(t).misses);
+      for (TierId u = 0; u < 2; ++u) {
+        EXPECT_EQ(untimed.migration_stats(t, u).count,
+                  timed.migration_stats(t, u).count);
+        EXPECT_EQ(untimed.migration_stats(t, u).bytes,
+                  timed.migration_stats(t, u).bytes);
+      }
+    }
+    EXPECT_EQ(untimed.zero_copy_admissions(), timed.zero_copy_admissions());
+    EXPECT_EQ(untimed.shadow_invalidations(), timed.shadow_invalidations());
+  }
+  EXPECT_GT(timed_work, 0.0);
+  EXPECT_GT(timed.zero_copy_admissions(), 0u);
+  EXPECT_GT(timed.chunk_ring().jobs(), 0u);
+
+  // A single migrate() is a timed batch: a copying move fills its
+  // step times.
+  const BlockId big = ids.back();
+  untimed.mark_dirty(big); // no shadow: the move really copies
+  const TierId dst = untimed.block_tier(big) == 0 ? TierId{1} : TierId{0};
+  const MigrateResult one = untimed.migrate(big, dst);
+  ASSERT_TRUE(one.ok);
+  EXPECT_FALSE(one.zero_copy);
+  EXPECT_GT(one.copy_s, 0.0);
+  EXPECT_GT(one.total(), 0.0);
 }
 
 // The allocation pass runs before any source is freed, so on a full

@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "rt/chare.hpp"
 #include "rt/io_handle.hpp"
@@ -394,6 +397,214 @@ TEST(Runtime, AdaptiveGuidanceStepsAtEveryIdleBarrier) {
   ASSERT_NE(rt.profiler(), nullptr);
   EXPECT_LE(rt.profiler()->tracked(), 4u);
   EXPECT_EQ(rt.policy_stats().tasks_run, 36u);
+}
+
+// ------------------------------------------------- grouped dispatch
+//
+// process() hands each destination its commands in one section: one
+// pending-shard and one run-queue section (and one wakeup) per PE,
+// one queue section per IO thread.  Inline transfers (SyncNoIo,
+// evict_by_worker) run a nested engine visit from inside process(),
+// one level down the thread's VisitStack.
+
+/// A dispatch workload: per PE, private ReadWrite blocks of the given
+/// sizes (in words, zeroed) and `ro_blocks` ReadOnly blocks holding a
+/// pattern.  Every round sends each PE `per_pe` tasks in one batch, so
+/// a PE wakeup drains a full batch and engine visits return commands
+/// for several destinations at once.  Task i of a round writes RW
+/// block rw_of(round, i) (adding 1 to every word) and, when ro_of
+/// gives one, checks that RO block; it notes the thread it ran on.
+struct DispatchPlan {
+  std::vector<std::uint64_t> rw_words;
+  int ro_blocks = 0;
+  int per_pe = 0;
+  int rounds = 0;
+  std::function<int(int round, int i)> rw_of;
+  std::function<int(int round, int i)> ro_of; // < 0: no RO dep
+};
+
+struct DispatchRun {
+  std::vector<int> runs;               // per task
+  std::vector<std::thread::id> thread; // per task
+  std::vector<int> home;               // per task: the PE it was sent to
+  std::atomic<int> bad_reads{0};
+  std::vector<std::vector<std::uint64_t>> rw_final; // per PE x block
+  std::vector<int> rw_writes;                       // per PE x block
+};
+
+void run_dispatch(const Runtime::Config& cfg, const DispatchPlan& plan,
+                  DispatchRun& out) {
+  constexpr std::uint64_t kRoWords = 512;
+  Runtime rt(cfg);
+  const int pes = cfg.num_pes;
+  const auto n_rw = static_cast<int>(plan.rw_words.size());
+  using Handle = IoHandle<std::uint64_t>;
+  std::vector<std::unique_ptr<Handle>> rw, ro; // [pe * count + b]
+  for (int pe = 0; pe < pes; ++pe) {
+    for (const std::uint64_t words : plan.rw_words) {
+      rw.push_back(std::make_unique<Handle>(rt, words));
+      for (std::uint64_t k = 0; k < words; ++k) (*rw.back())[k] = 0;
+    }
+    for (int b = 0; b < plan.ro_blocks; ++b) {
+      ro.push_back(std::make_unique<Handle>(rt, kRoWords));
+      for (std::uint64_t k = 0; k < kRoWords; ++k) {
+        (*ro.back())[k] = static_cast<std::uint64_t>(pe * 1000 + b) + k;
+      }
+    }
+  }
+  const auto tasks = static_cast<std::size_t>(pes * plan.per_pe * plan.rounds);
+  out.runs.assign(tasks, 0);
+  out.thread.assign(tasks, std::thread::id{});
+  out.home.assign(tasks, -1);
+  out.rw_writes.assign(rw.size(), 0);
+  std::size_t next = 0;
+  for (int round = 0; round < plan.rounds; ++round) {
+    for (int pe = 0; pe < pes; ++pe) {
+      std::vector<Runtime::PrefetchMsg> batch;
+      for (int i = 0; i < plan.per_pe; ++i) {
+        const std::size_t t = next++;
+        const auto wb =
+            static_cast<std::size_t>(pe * n_rw + plan.rw_of(round, i));
+        Handle& w = *rw[wb];
+        ++out.rw_writes[wb];
+        out.home[t] = pe;
+        Runtime::PrefetchMsg m;
+        m.deps = {w.dep(ooc::AccessMode::ReadWrite)};
+        Handle* r = nullptr;
+        std::uint64_t want = 0;
+        if (const int rb = plan.ro_of ? plan.ro_of(round, i) : -1; rb >= 0) {
+          r = ro[static_cast<std::size_t>(pe * plan.ro_blocks + rb)].get();
+          m.deps.push_back(r->dep(ooc::AccessMode::ReadOnly));
+          want = static_cast<std::uint64_t>(pe * 1000 + rb);
+        }
+        m.body = [&out, &w, r, t, want] {
+          ++out.runs[t];
+          out.thread[t] = std::this_thread::get_id();
+          for (std::uint64_t k = 0; k < w.size(); ++k) w[k] += 1;
+          if (r == nullptr) return;
+          for (std::uint64_t k = 0; k < r->size(); k += 17) {
+            if ((*r)[k] != want + k) {
+              out.bad_reads.fetch_add(1);
+              return;
+            }
+          }
+        };
+        batch.push_back(std::move(m));
+      }
+      rt.send_prefetch_batch(pe, std::move(batch));
+    }
+    rt.wait_idle();
+  }
+  EXPECT_EQ(rt.tasks_executed(), tasks);
+  EXPECT_TRUE(rt.audit_now().violations.empty());
+  out.rw_final.clear();
+  for (auto& h : rw) out.rw_final.emplace_back(&(*h)[0], &(*h)[0] + h->size());
+}
+
+/// Every task ran exactly once, all tasks sent to one PE ran on one
+/// thread and distinct PEs on distinct threads, and the data checks
+/// held: each ReadWrite block saw exactly its writers' increments.
+void expect_dispatch_ok(const DispatchRun& run, int pes) {
+  std::map<int, std::thread::id> pe_thread;
+  for (std::size_t t = 0; t < run.runs.size(); ++t) {
+    ASSERT_EQ(run.runs[t], 1) << "task " << t;
+    auto [it, fresh] = pe_thread.emplace(run.home[t], run.thread[t]);
+    if (!fresh) {
+      ASSERT_EQ(it->second, run.thread[t])
+          << "task " << t << " left PE " << run.home[t];
+    }
+  }
+  ASSERT_EQ(pe_thread.size(), static_cast<std::size_t>(pes));
+  for (const auto& [pe, id] : pe_thread) {
+    for (const auto& [pe2, id2] : pe_thread) {
+      if (pe != pe2) {
+        EXPECT_NE(id, id2);
+      }
+    }
+  }
+  EXPECT_EQ(run.bad_reads.load(), 0);
+  for (std::size_t b = 0; b < run.rw_final.size(); ++b) {
+    for (const std::uint64_t w : run.rw_final[b]) {
+      ASSERT_EQ(w, static_cast<std::uint64_t>(run.rw_writes[b]))
+          << "block " << b;
+    }
+  }
+}
+
+TEST(RuntimeDispatch, SingleIoBatchesRunTasksOnTheirHomePes) {
+  // One IO thread serves 4 PEs: a wakeup's fetch completions release
+  // Run commands for several PEs at once.
+  auto cfg = small_config(ooc::Strategy::SingleIo, /*pes=*/4);
+  DispatchPlan plan;
+  plan.rw_words.assign(12, 512);
+  plan.ro_blocks = 12;
+  plan.per_pe = 48;
+  plan.rounds = 3;
+  plan.rw_of = [](int round, int i) { return (round + i) % 12; };
+  plan.ro_of = [](int round, int i) { return (round + 3 * i + 1) % 12; };
+  DispatchRun run;
+  run_dispatch(cfg, plan, run);
+  expect_dispatch_ok(run, cfg.num_pes);
+}
+
+struct InlineCase {
+  const char* name;
+  ooc::Strategy strategy;
+  bool evict_by_worker;
+};
+
+// Test ids print the case name, not the struct's bytes (a pointer).
+void PrintTo(const InlineCase& c, std::ostream* os) { *os << c.name; }
+
+class RuntimeDispatchInline : public ::testing::TestWithParam<InlineCase> {};
+
+TEST_P(RuntimeDispatchInline, NestedVisitsKeepOuterCommands) {
+  // One PE and a 256 KiB fast tier.  Each round's batch is 4 tasks on
+  // 64 KiB blocks, which fill the tier, then 16 tasks on 8 KiB blocks,
+  // which wait: more than a PE drains per wakeup.  The big tasks'
+  // completions evict inline, and the nested visit of the first
+  // eviction admits eight waiting small tasks — it returns their
+  // commands while the outer level still has three evictions to walk.
+  auto cfg = small_config(GetParam().strategy, /*pes=*/1);
+  cfg.evict_by_worker = GetParam().evict_by_worker;
+  cfg.mem_scale = 1.0 / 65536; // 256 KiB fast / 1.5 MiB slow
+  DispatchPlan plan;
+  plan.rw_words = {8192, 8192, 8192, 8192};
+  plan.rw_words.resize(4 + 16, 1024);
+  plan.per_pe = 20;
+  plan.rounds = 3;
+  plan.rw_of = [](int, int i) { return i; };
+  DispatchRun run;
+  run_dispatch(cfg, plan, run);
+  expect_dispatch_ok(run, cfg.num_pes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inline, RuntimeDispatchInline,
+    ::testing::Values(InlineCase{"SyncNoIo", ooc::Strategy::SyncNoIo, false},
+                      InlineCase{"EvictByWorker", ooc::Strategy::MultiIo,
+                                 true}),
+    [](const auto& pi) { return std::string(pi.param.name); });
+
+TEST(RuntimeDispatch, StrayTenantIdDiesAtSend) {
+  // No tenants registered: every task must say tenant 0.
+  Runtime rt(small_config(ooc::Strategy::MultiIo));
+  IoHandle<double> h(rt, 1024);
+  EXPECT_DEATH(
+      rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadOnly)}, [] {}, 1.0,
+                       /*tenant=*/3),
+      "unregistered tenant");
+  std::vector<Runtime::PrefetchMsg> batch(2);
+  for (auto& m : batch) {
+    m.deps = {h.dep(ooc::AccessMode::ReadOnly)};
+    m.body = [] {};
+  }
+  batch[1].tenant = 3;
+  EXPECT_DEATH(rt.send_prefetch_batch(0, std::move(batch)),
+               "unregistered tenant");
+  rt.send_prefetch(0, {h.dep(ooc::AccessMode::ReadOnly)}, [] {}, 1.0, 0);
+  rt.wait_idle();
+  EXPECT_EQ(rt.tasks_executed(), 1u);
 }
 
 TEST(Runtime, ThreadPinningOptionRuns) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <random>
 #include <sstream>
@@ -672,6 +674,141 @@ TEST(TelemetryFlight, KeepsLastNTransitionsOldestFirst) {
   std::ostringstream all;
   fr.dump(all);
   EXPECT_FALSE(all.str().empty());
+}
+
+telemetry::BlockFlightRecorder::Transition transition(double time,
+                                                     std::uint64_t bytes) {
+  telemetry::BlockFlightRecorder::Transition t;
+  t.time = time;
+  t.bytes = bytes;
+  t.fetch = true;
+  return t;
+}
+
+TEST(TelemetryFlight, DenseTableKeepsGapsAndNeverGrowsOnRead) {
+  telemetry::BlockFlightRecorder fr(/*depth=*/4);
+  EXPECT_EQ(fr.capacity(), 0u);
+  // Ids with gaps, within one chunk and across several.
+  const ooc::BlockId ids[] = {5, 0, 300, 4999, 70000};
+  for (const ooc::BlockId b : ids) {
+    for (int k = 0; k < 3; ++k) {
+      fr.record(b, transition(static_cast<double>(k), b));
+    }
+  }
+  const std::uint64_t cap = fr.capacity();
+  EXPECT_GT(cap, 70000u);
+  for (const ooc::BlockId b : ids) {
+    EXPECT_EQ(fr.total_recorded(b), 3u) << b;
+    const auto h = fr.history(b);
+    ASSERT_EQ(h.size(), 3u) << b;
+    EXPECT_EQ(h[2].bytes, b);
+    EXPECT_DOUBLE_EQ(h[2].time, 2.0);
+  }
+  // Unseen ids: inside a written chunk, in a gap chunk, past the end,
+  // and the largest id.  None of them grows the table.
+  const ooc::BlockId unseen[] = {1,         299,     4998,
+                                 40000,     cap + 1, cap + (1u << 30),
+                                 UINT64_MAX};
+  for (const ooc::BlockId b : unseen) {
+    EXPECT_TRUE(fr.history(b).empty()) << b;
+    EXPECT_EQ(fr.total_recorded(b), 0u) << b;
+    std::ostringstream os;
+    fr.dump_block(os, b);
+    EXPECT_NE(os.str().find("(0 transitions"), std::string::npos) << b;
+  }
+  EXPECT_EQ(fr.capacity(), cap);
+}
+
+TEST(TelemetryFlight, WriteGrowthIsBounded) {
+  telemetry::BlockFlightRecorder fr(/*depth=*/2);
+  fr.record(3, transition(1, 1));
+  const std::uint64_t cap = fr.capacity();
+  const ooc::BlockId gap = telemetry::BlockFlightRecorder::kMaxBlockIdGap;
+  EXPECT_DEATH(fr.record(cap + gap, transition(2, 2)), "too far past");
+  EXPECT_DEATH(fr.record(UINT64_MAX, transition(2, 2)), "too far past");
+  // Just inside the bound is a legal (if sparse) id.
+  fr.record(cap + gap - 1, transition(3, 3));
+  EXPECT_EQ(fr.total_recorded(cap + gap - 1), 1u);
+  EXPECT_GE(fr.capacity(), cap + gap);
+  EXPECT_EQ(fr.total_recorded(3), 1u);
+}
+
+TEST(TelemetryFlight, DumpListsRecordedBlocksInAscendingOrder) {
+  telemetry::BlockFlightRecorder fr(/*depth=*/2);
+  for (const ooc::BlockId b : {900u, 7u, 0u, 256u}) {
+    fr.record(b, transition(1, b));
+  }
+  std::ostringstream os;
+  fr.dump(os);
+  std::vector<ooc::BlockId> listed;
+  std::istringstream in(os.str());
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("block ", 0) == 0) {
+      listed.push_back(std::stoull(line.substr(6)));
+    }
+  }
+  EXPECT_EQ(listed, (std::vector<ooc::BlockId>{0, 7, 256, 900}));
+}
+
+TEST(TelemetryFlight, ReadersRaceWritersOfDistinctBlocks) {
+  // Each writer owns its blocks (as a migrating IO thread does) and
+  // spreads them wide enough that the table grows during the race;
+  // readers poll every block meanwhile.
+  constexpr int kWriters = 3;
+  constexpr int kBlocksPerWriter = 40;
+  constexpr int kWrites = 200;
+  constexpr ooc::BlockId kStride = 97;
+  telemetry::BlockFlightRecorder fr(/*depth=*/4);
+  const auto block_of = [](int w, int i) {
+    return static_cast<ooc::BlockId>(i * kWriters + w) * kStride;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load(std::memory_order_acquire)) {
+        for (int w = 0; w < kWriters; ++w) {
+          for (int i = r; i < kBlocksPerWriter; i += 2) {
+            const ooc::BlockId b = block_of(w, i);
+            const std::uint64_t n = fr.total_recorded(b);
+            const auto h = fr.history(b);
+            bool ok = h.size() <= fr.depth() && n <= kWrites;
+            for (std::size_t k = 0; k < h.size(); ++k) {
+              ok &= h[k].bytes == b;
+              if (k > 0) ok &= h[k].time > h[k - 1].time;
+            }
+            if (!ok) bad.fetch_add(1);
+          }
+        }
+        std::ostringstream os;
+        fr.dump(os);
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int k = 0; k < kWrites; ++k) {
+        for (int i = 0; i < kBlocksPerWriter; ++i) {
+          fr.record(block_of(w, i), transition(k, block_of(w, i)));
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kBlocksPerWriter; ++i) {
+      const ooc::BlockId b = block_of(w, i);
+      ASSERT_EQ(fr.total_recorded(b), static_cast<std::uint64_t>(kWrites));
+      const auto h = fr.history(b);
+      ASSERT_EQ(h.size(), fr.depth());
+      EXPECT_DOUBLE_EQ(h.back().time, kWrites - 1);
+    }
+  }
 }
 
 // ------------------------------------------------- executor integration
